@@ -8,13 +8,10 @@ bounds, and a small-instance brute-force oracle to certify the gap.
 
 from .coupling import (
     CouplingEntry,
-    MassPool,
     SparseCoupling,
-    SplitResult,
     is_valid_coupling,
     min_entropy_coupling_dense,
     min_entropy_coupling_sparse,
-    split_mass,
 )
 from .distributions import (
     INTERNAL_TOL,
@@ -52,7 +49,6 @@ from .majorization import (
 )
 from .multiway import (
     FrlBounds,
-    IndexedDistribution,
     JointEntry,
     SparseJoint,
     axis_marginals,
@@ -82,12 +78,10 @@ __all__ = [
     "FrlBounds",
     "HALF_COMPONENT_CAP",
     "INTERNAL_TOL",
-    "IndexedDistribution",
     "InfeasibleSplitError",
     "InputError",
     "InternalError",
     "JointEntry",
-    "MassPool",
     "MecError",
     "MetricEstimate",
     "NORMALIZATION_TOL",
@@ -97,7 +91,6 @@ __all__ = [
     "SizeCapError",
     "SparseCoupling",
     "SparseJoint",
-    "SplitResult",
     "SupportMismatchError",
     "TooFewError",
     "TooLargeError",
@@ -124,5 +117,4 @@ __all__ = [
     "min_entropy_joint_k",
     "renyi_entropy",
     "shannon_entropy",
-    "split_mass",
 ]

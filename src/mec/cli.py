@@ -299,11 +299,12 @@ def _execute(job: JobSpec) -> dict:
     if job.subcommand == "oracle-check":
         p, q = _load_marginals(job, need_q=True)
         dp, dq = _dist(p, "p", job), _dist(q, "q", job)
+        # the oracle's cell cap rejects oversized input before any coupling work
+        opt = brute_force_min_entropy(dp, dq)
         m = _ENGINES[job.engine](dp, dq)
         ok, why = is_valid_coupling(m, dp, dq, tol=job.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")
-        opt = brute_force_min_entropy(dp, dq)
         alg = shannon_entropy(m.values())
         return {"opt": opt.opt_value, "alg": alg, "gap": alg - opt.opt_value}
 

@@ -6,11 +6,13 @@ admits a greedy rearrangement into a valid coupling that splits each z
 component at most once. The resulting entropy is at most H(z) + 1, hence at
 most OPT + 1, and the support has at most 2n cells.
 
-Two engines produce such couplings. The dense engine walks an explicit n x n
-matrix from the last index to the first, resolving each row/column overflow
-by a greedy mass split; it is quadratic and easy to audit. The sparse engine
-keeps only the moved masses, in two min-priority queues keyed by mass, and
-runs in O(n log n) overall.
+Two engines produce the same coupling, bit for bit. The dense engine walks
+an explicit n x n matrix from the last index to the first; it is quadratic,
+capped at ``DENSE_CAP`` components per side, and serves as the reference the
+sparse engine is audited against. The sparse engine keeps only the moved
+masses, in two min-priority queues keyed by mass, and runs in O(n log n)
+overall. Both resolve every row/column overflow through the one greedy split,
+:meth:`MassPool.split`.
 
 Both engines report coordinates in the caller's original index order for each
 marginal, regardless of the internal sorting and of the role swap applied
@@ -30,8 +32,10 @@ from .distributions import (
     Distribution,
     as_distribution,
 )
-from .errors import InfeasibleSplitError, InternalError
+from .errors import InfeasibleSplitError, InternalError, TooLargeError
 from .majorization import glb
+
+DENSE_CAP = 2048
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,57 +78,6 @@ class SparseCoupling:
         return tuple(e.value for e in self.entries)
 
 
-@dataclass(frozen=True, slots=True)
-class SplitResult:
-    """Outcome of one greedy mass split.
-
-    ``z_d`` is the piece retained in place, ``z_r = z - z_d`` the piece
-    relocated to the next index, ``chosen`` the identifiers of pool
-    candidates that stay to fill the target alongside ``z_d``.
-    """
-
-    z_d: float
-    z_r: float
-    chosen: frozenset[int]
-
-
-def split_mass(z: float, x: float, pool: Sequence[float]) -> SplitResult:
-    """Split mass ``z`` so that the chosen pool prefix plus ``z_d`` hits ``x``.
-
-    Scans ``pool`` in the given order, accumulating candidates while the
-    running sum plus the next candidate stays strictly below ``x``; then
-    ``z_d = x - sum`` tops the target up exactly. Works for any candidate
-    order provided every candidate is at most ``z`` and the total mass
-    reaches ``x``.
-
-    Returns chosen candidates as their positions in ``pool``.
-
-    Raises:
-        InfeasibleSplitError: a candidate exceeds ``z``, or ``x`` exceeds
-            ``z`` plus the whole pool (both checked with 1e-12 slack).
-    """
-    masses = [float(m) for m in pool]
-    for k, m in enumerate(masses):
-        if m > z + INTERNAL_TOL:
-            raise InfeasibleSplitError(f"candidate {k} has mass {m!r} exceeding z={z!r}")
-    if x > z + math.fsum(masses) + INTERNAL_TOL:
-        raise InfeasibleSplitError(f"target {x!r} exceeds z plus pool total")
-    chosen: list[int] = []
-    acc = 0.0
-    for k, m in enumerate(masses):
-        if acc + m < x:
-            chosen.append(k)
-            acc += m
-    z_d = x - acc
-    if z_d < 0.0:
-        z_d = 0.0
-    if z_d > z:
-        if z_d - z > INTERNAL_TOL:
-            raise InfeasibleSplitError(f"retained piece {z_d!r} exceeds z={z!r}")
-        z_d = z
-    return SplitResult(z_d, z - z_d, frozenset(chosen))
-
-
 class MassPool:
     """Min-priority queue of (mass, origin) records with a running total.
 
@@ -162,11 +115,18 @@ class MassPool:
         heapq.heappush(self._heap, (mass, origin))
         self._accumulate(mass)
 
-    def split(self, z: float, x: float) -> tuple[SplitResult, tuple[tuple[float, int], ...]]:
-        """Greedy split against the queue, extracting smallest masses first.
+    def split(self, z: float, x: float) -> tuple[float, list[tuple[float, int]]]:
+        """Split mass ``z`` so that the smallest queued records plus ``z_d`` hit ``x``.
 
-        Extracted records are removed from the queue and returned alongside
-        the :class:`SplitResult` (whose ``chosen`` holds their origins).
+        Extracts records smallest mass first while the running sum plus the
+        next record stays strictly below ``x``; then ``z_d = x - sum`` tops
+        the target up exactly, and the caller relocates ``z - z_d``. Returns
+        ``z_d`` and the extracted records, which leave the queue.
+
+        Raises:
+            InfeasibleSplitError: an extracted record exceeds ``z``, or ``x``
+                exceeds ``z`` plus the queued total (both checked with 1e-12
+                slack).
         """
         if x > z + self.total + INTERNAL_TOL:
             raise InfeasibleSplitError(f"target {x!r} exceeds z plus queued total")
@@ -174,6 +134,8 @@ class MassPool:
         acc = 0.0
         while self._heap and acc + self._heap[0][0] < x:
             mass, origin = heapq.heappop(self._heap)
+            if mass > z + INTERNAL_TOL:
+                raise InfeasibleSplitError(f"candidate {origin} has mass {mass!r} exceeding z={z!r}")
             self._accumulate(-mass)
             taken.append((mass, origin))
             acc += mass
@@ -184,7 +146,7 @@ class MassPool:
             if z_d - z > INTERNAL_TOL:
                 raise InfeasibleSplitError(f"retained piece {z_d!r} exceeds z={z!r}")
             z_d = z
-        return SplitResult(z_d, z - z_d, frozenset(o for _, o in taken)), tuple(taken)
+        return z_d, taken
 
     def drain(self) -> list[tuple[float, int]]:
         """Remove and return all records, smallest mass first."""
@@ -231,16 +193,17 @@ def _finish(
     n_cols: int,
 ) -> SparseCoupling:
     # raw holds (value, row, col) in sorted positions of the (possibly
-    # swapped) working pair; undo the swap, then map through the perms
-    entries = []
-    for value, r, c in raw:
-        if swapped:
-            r, c = c, r
-        row = (dq.perm if swapped else dp.perm)[r]
-        col = (dp.perm if swapped else dq.perm)[c]
-        entries.append(CouplingEntry(value, row, col))
-    entries.sort(key=lambda e: (e.row, e.col))
-    return SparseCoupling(n_rows, n_cols, tuple(entries))
+    # swapped) working pair; undo the swap, map through the perms, and sort
+    # plain (row, col, value) tuples, whose (row, col) prefixes are distinct
+    if swapped:
+        rows, cols = dq.perm, dp.perm
+        cells = [(rows[c], cols[r], value) for value, r, c in raw]
+    else:
+        rows, cols = dp.perm, dq.perm
+        cells = [(rows[r], cols[c], value) for value, r, c in raw]
+    cells.sort()
+    entries = tuple(CouplingEntry(value, row, col) for row, col, value in cells)
+    return SparseCoupling(n_rows, n_cols, entries)
 
 
 def _check_one_sided(col_over: bool, row_over: bool, i: int) -> None:
@@ -256,24 +219,30 @@ def min_entropy_coupling_dense(
     """Quadratic coupling engine over an explicit matrix.
 
     Starts from diag(glb(p, q)) and walks indices from last to first; an
-    overflowing column (resp. row) is resolved by greedily splitting the
-    diagonal mass against the other occupied cells of that column (resp.
-    row), relocating the remainder and the non-chosen cells one index down.
+    overflowing column (resp. row) is resolved by :meth:`MassPool.split` of
+    the diagonal mass against the other positive cells of that column (resp.
+    row), relocating the remainder and the cells left out one index down.
     Each glb component is split at most once, so the output keeps at most 2n
-    positive cells and entropy at most H(glb) + 1.
+    positive cells and entropy at most H(glb) + 1. The output is bit-identical
+    to :func:`min_entropy_coupling_sparse`, which this engine audits.
 
     With ``debug`` on, verifies that the output values regroup exactly into
     the recorded splits of the glb components.
+
+    Raises:
+        TooLargeError: either marginal has more than ``DENSE_CAP`` components.
     """
     dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
     n = dp.n
+    if n > DENSE_CAP:
+        raise TooLargeError(
+            f"{n} components exceed the dense engine's cap of {DENSE_CAP}; use the sparse engine"
+        )
     z = glb(dp, dq).masses
     pm, qm = dp.masses, dq.masses
     grid = [[0.0] * n for _ in range(n)]
-    origin = [[-1] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = z[i]
-        origin[i][i] = i
     splits: dict[int, tuple[float, float]] = {}
 
     for i in range(n - 1, -1, -1):
@@ -286,32 +255,30 @@ def min_entropy_coupling_dense(
             continue
         if i == 0:
             raise InternalError("first index cannot overflow; state is corrupted")
+        # cell k of the overflowing line, and the cell one index down it moves to
         if col_over:
-            # candidates: every other cell of column i (zeros are harmless)
-            rows = [k for k in range(n) if k != i]
-            res = split_mass(grid[i][i], qm[i], [grid[k][i] for k in rows])
-            kept = {rows[k] for k in res.chosen}
-            grid[i][i] = res.z_d
-            grid[i][i - 1] = res.z_r
-            origin[i][i - 1] = i
-            for k in rows:
-                if k not in kept and grid[k][i] > 0.0:
-                    grid[k][i - 1] = grid[k][i]
-                    origin[k][i - 1] = origin[k][i]
-                    grid[k][i] = 0.0
+            line = [(k, i) for k in range(n)]
+            below = [(k, i - 1) for k in range(n)]
         else:
-            cols = [k for k in range(n) if k != i]
-            res = split_mass(grid[i][i], pm[i], [grid[i][k] for k in cols])
-            kept = {cols[k] for k in res.chosen}
-            grid[i][i] = res.z_d
-            grid[i - 1][i] = res.z_r
-            origin[i - 1][i] = i
-            for k in cols:
-                if k not in kept and grid[i][k] > 0.0:
-                    grid[i - 1][k] = grid[i][k]
-                    origin[i - 1][k] = origin[i][k]
-                    grid[i][k] = 0.0
-        splits[i] = (res.z_d, res.z_r)
+            line = [(i, k) for k in range(n)]
+            below = [(i - 1, k) for k in range(n)]
+        # candidates: the line's other positive cells, keyed (mass, fixed
+        # coordinate) exactly as the sparse engine queues them
+        pool = MassPool()
+        for k, (r, c) in enumerate(line):
+            if k != i and grid[r][c] > 0.0:
+                pool.push(grid[r][c], k)
+        z_d, _ = pool.split(z[i], qm[i] if col_over else pm[i])
+        grid[i][i] = z_d
+        for mass, k in pool.drain():
+            r, c = line[k]
+            grid[r][c] = 0.0
+            r, c = below[k]
+            grid[r][c] = mass
+        r, c = below[i]
+        grid[r][c] = z[i] - z_d
+        if debug:
+            splits[i] = (z_d, z[i] - z_d)
 
     raw = [
         (grid[r][c], r, c)
@@ -320,13 +287,7 @@ def min_entropy_coupling_dense(
         if grid[r][c] > 0.0
     ]
     if debug:
-        tagged = [
-            (grid[r][c], origin[r][c])
-            for r in range(n)
-            for c in range(n)
-            if grid[r][c] > 0.0
-        ]
-        _verify_split_conservation(tagged, z, splits)
+        _verify_split_conservation(raw, z, splits)
     return _finish(raw, dp, dq, swapped, n_rows, n_cols)
 
 
@@ -342,8 +303,8 @@ def min_entropy_coupling_sparse(
     mass with its fixed coordinate attached. At index i the queue total plus
     z_i either equals the marginal (the queue drains into this index) or
     overflows it (a greedy min-first split retains exactly the missing
-    amount and requeues the remainder). Same output contract as the dense
-    engine.
+    amount and requeues the remainder). Same output as the dense engine, bit
+    for bit.
     """
     dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
     n = dp.n
@@ -352,7 +313,6 @@ def min_entropy_coupling_sparse(
     q_col = MassPool()
     q_row = MassPool()
     raw: list[tuple[float, int, int]] = []
-    tagged: list[tuple[float, int]] = []
     splits: dict[int, tuple[float, float]] = {}
 
     for i in range(n - 1, -1, -1):
@@ -362,56 +322,50 @@ def min_entropy_coupling_sparse(
         _check_one_sided(col_over, row_over, i)
         z_d = zi
         if col_over:
-            res, taken = q_col.split(zi, qm[i])
-            for mass, fixed_row in taken:
-                raw.append((mass, fixed_row, i))
-                tagged.append((mass, fixed_row))
-            z_d = res.z_d
-            if res.z_r > 0.0:
-                q_col.push(res.z_r, i)
-                splits[i] = (res.z_d, res.z_r)
+            z_d, taken = q_col.split(zi, qm[i])
+            if zi - z_d > 0.0:
+                q_col.push(zi - z_d, i)
+                if debug:
+                    splits[i] = (z_d, zi - z_d)
         else:
             if debug and abs(q_col.total + zi - qm[i]) > NORMALIZATION_TOL:
                 raise InternalError(f"column {i} neither overflows nor balances")
-            for mass, fixed_row in q_col.drain():
-                raw.append((mass, fixed_row, i))
-                tagged.append((mass, fixed_row))
+            taken = q_col.drain()
+        for mass, fixed_row in taken:
+            raw.append((mass, fixed_row, i))
         if row_over:
-            res, taken = q_row.split(zi, pm[i])
-            for mass, fixed_col in taken:
-                raw.append((mass, i, fixed_col))
-                tagged.append((mass, fixed_col))
-            z_d = res.z_d
-            if res.z_r > 0.0:
-                q_row.push(res.z_r, i)
-                splits[i] = (res.z_d, res.z_r)
+            z_d, taken = q_row.split(zi, pm[i])
+            if zi - z_d > 0.0:
+                q_row.push(zi - z_d, i)
+                if debug:
+                    splits[i] = (z_d, zi - z_d)
         else:
             if debug and abs(q_row.total + zi - pm[i]) > NORMALIZATION_TOL:
                 raise InternalError(f"row {i} neither overflows nor balances")
-            for mass, fixed_col in q_row.drain():
-                raw.append((mass, i, fixed_col))
-                tagged.append((mass, fixed_col))
+            taken = q_row.drain()
+        for mass, fixed_col in taken:
+            raw.append((mass, i, fixed_col))
         if z_d > 0.0:
             raw.append((z_d, i, i))
-            tagged.append((z_d, i))
 
     if len(q_col) or len(q_row):
         raise InternalError("leftover queued mass after the final index")
     if debug:
-        _verify_split_conservation(tagged, z, splits)
+        _verify_split_conservation(raw, z, splits)
     return _finish(raw, dp, dq, swapped, n_rows, n_cols)
 
 
 def _verify_split_conservation(
-    tagged: list[tuple[float, int]],
+    raw: list[tuple[float, int, int]],
     z: tuple[float, ...],
     splits: dict[int, tuple[float, float]],
 ) -> None:
-    # every output value descends from exactly one z component: either the
-    # component whole, or one of the two recorded pieces of its single split
+    # in working coordinates every cell descends from z_{max(row, col)}: the
+    # diagonal keeps z_i and pieces only travel to lower indices; each
+    # component's cells are the component whole or the two pieces of its split
     groups: dict[int, list[float]] = {}
-    for value, origin in tagged:
-        groups.setdefault(origin, []).append(value)
+    for value, r, c in raw:
+        groups.setdefault(max(r, c), []).append(value)
     for j, zj in enumerate(z):
         got = sorted(groups.get(j, ()))
         if j in splits:

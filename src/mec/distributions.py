@@ -20,6 +20,7 @@ from .errors import (
     BadAlphaError,
     BadPartitionError,
     EmptyError,
+    InputError,
     NegativeMassError,
     NotNormalizedError,
     SupportMismatchError,
@@ -114,19 +115,25 @@ def make_distribution(
 
     Raises:
         EmptyError: ``raw`` has no entries.
+        InputError: some entry is NaN or infinite.
         NegativeMassError: some entry is below ``-INTERNAL_TOL``.
         NotNormalizedError: the total is off by more than ``tol`` (or is not
-            positive when renormalizing).
+            positive when renormalizing, or overflows the float range).
     """
     values = [float(x) for x in raw]
     if not values:
         raise EmptyError("distribution must have at least one component")
     for i, x in enumerate(values):
+        if not math.isfinite(x):
+            raise InputError(f"component {i} is not finite: {x!r}")
         if x < -INTERNAL_TOL:
             raise NegativeMassError(f"component {i} is negative: {x!r}")
         if x < 0.0:
             values[i] = 0.0
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError as exc:
+        raise NotNormalizedError("masses sum past the largest float") from exc
     if renormalize:
         if total <= 0.0:
             raise NotNormalizedError("cannot renormalize a zero-mass vector")

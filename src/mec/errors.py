@@ -50,7 +50,7 @@ class SizeCapError(InputError):
 
 
 class TooLargeError(InputError):
-    """Exhaustive vertex enumeration requested beyond the cell cap."""
+    """A request exceeds a size cap: the oracle's cell cap or the dense engine's."""
 
 
 class InternalError(MecError):

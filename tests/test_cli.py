@@ -11,6 +11,7 @@ import pytest
 
 import mec
 from mec.cli import run
+from mec.coupling import DENSE_CAP
 from conftest import WORKED_P, WORKED_Q
 
 
@@ -108,6 +109,19 @@ class TestCoupleCommand:
         assert [(e["v"], e["i"], e["j"]) for e in doc["entries"]] == [
             (e.value, e.row, e.col) for e in m.entries
         ]
+
+    def test_dense_engine_over_its_cap_is_an_input_error(self, capsys, files):
+        n = DENSE_CAP + 1
+        code, err = run_error(
+            capsys,
+            [
+                "couple", "--engine", "dense",
+                "--p", files("p.json", [1.0 / n] * n),
+                "--q", files("q.json", [1.0]),
+            ],
+        )
+        assert code == 2
+        assert "dense engine" in err
 
     def test_single_document_carries_both_marginals(self, capsys, files):
         doc = run_json(
@@ -341,6 +355,22 @@ class TestInputValidation:
         )
         assert code == 2
         assert err.startswith("error: p: ")
+
+    @pytest.mark.parametrize(
+        "p, fragment",
+        [
+            ([math.nan, 1.0], "component 0 is not finite"),
+            ([math.inf, 1.0], "component 0 is not finite"),
+            ([1e308, 1e308], "sum past the largest float"),
+        ],
+        ids=["nan", "inf", "overflowing-sum"],
+    )
+    def test_non_finite_input_names_the_field(self, capsys, files, p, fragment):
+        doc = files("pq.json", {"p": p, "q": [0.5, 0.5]})
+        code, err = run_error(capsys, ["couple", "--p", doc])
+        assert code == 2
+        assert err.startswith("error: p: ")
+        assert fragment in err
 
     def test_usage_error_without_subcommand(self, capsys):
         code, _ = run_error(capsys, [])

@@ -1,4 +1,4 @@
-"""Greedy mass splits, the two coupling engines, and the validity checker."""
+"""The greedy mass split, the two coupling engines, and the validity checker."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mec
+from mec.coupling import DENSE_CAP, MassPool
 from conftest import H_WORKED_GLB, WORKED_P, WORKED_Q, random_masses
 
 ENGINES = [mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse]
@@ -25,43 +26,57 @@ def entries_by_cell(m: mec.SparseCoupling) -> dict[tuple[int, int], float]:
     return {(e.row, e.col): e.value for e in m.entries}
 
 
+def pool_of(*masses: float) -> MassPool:
+    """A pool holding ``masses`` with origins 0, 1, ... in the given order."""
+    pool = MassPool()
+    for k, m in enumerate(masses):
+        pool.push(m, k)
+    return pool
+
+
 class TestSplitMass:
     def test_empty_pool_splits_z(self):
-        res = mec.split_mass(0.03, 0.02, [])
-        assert res.z_d == pytest.approx(0.02, abs=1e-15)
-        assert res.z_r == pytest.approx(0.01, abs=1e-15)
-        assert res.chosen == frozenset()
+        z_d, taken = pool_of().split(0.03, 0.02)
+        assert z_d == pytest.approx(0.02, abs=1e-15)
+        assert 0.03 - z_d == pytest.approx(0.01, abs=1e-15)
+        assert taken == []
 
     def test_exact_fit_leaves_no_remainder(self):
-        res = mec.split_mass(0.5, 0.5, [])
-        assert res.z_d == 0.5
-        assert res.z_r == 0.0
+        z_d, taken = pool_of().split(0.5, 0.5)
+        assert z_d == 0.5
+        assert 0.5 - z_d == 0.0
+        assert taken == []
 
     def test_pool_candidate_is_consumed(self):
-        res = mec.split_mass(0.04, 0.03, [0.01])
-        assert res.chosen == frozenset({0})
-        assert res.z_d == pytest.approx(0.02, abs=1e-15)
-        assert res.z_r == pytest.approx(0.02, abs=1e-15)
+        pool = pool_of(0.01)
+        z_d, taken = pool.split(0.04, 0.03)
+        assert taken == [(0.01, 0)]
+        assert len(pool) == 0
+        assert z_d == pytest.approx(0.02, abs=1e-15)
+        assert 0.04 - z_d == pytest.approx(0.02, abs=1e-15)
 
     def test_zero_target_moves_everything(self):
-        res = mec.split_mass(0.5, 0.0, [0.3])
-        assert res.z_d == 0.0
-        assert res.z_r == 0.5
-        assert res.chosen == frozenset()
+        pool = pool_of(0.3)
+        z_d, taken = pool.split(0.5, 0.0)
+        assert z_d == 0.0
+        assert 0.5 - z_d == 0.5
+        assert taken == []
+        assert len(pool) == 1
 
     def test_candidates_at_or_below_target_stop_the_scan(self):
         # 0.2 + 0.3 = 0.5 is not strictly below x = 0.5, so only 0.2 is taken
-        res = mec.split_mass(0.4, 0.5, [0.2, 0.3])
-        assert res.chosen == frozenset({0})
-        assert res.z_d == pytest.approx(0.3, abs=1e-15)
+        z_d, taken = pool_of(0.2, 0.3).split(0.4, 0.5)
+        assert taken == [(0.2, 0)]
+        assert z_d == pytest.approx(0.3, abs=1e-15)
 
     def test_rejects_candidate_larger_than_z(self):
-        with pytest.raises(mec.InfeasibleSplitError):
-            mec.split_mass(0.1, 0.1, [0.2])
+        # 0.2 is popped first (0.2 < 0.45) and exceeds z = 0.1
+        with pytest.raises(mec.InfeasibleSplitError, match="candidate 0"):
+            pool_of(0.2, 0.3).split(0.1, 0.45)
 
     def test_rejects_unreachable_target(self):
-        with pytest.raises(mec.InfeasibleSplitError):
-            mec.split_mass(0.1, 0.5, [0.1])
+        with pytest.raises(mec.InfeasibleSplitError, match="target"):
+            pool_of().split(0.1, 0.5)
 
     @given(
         st.floats(1e-3, 1.0),
@@ -73,19 +88,26 @@ class TestSplitMass:
     def test_split_conserves_and_hits_target(self, z, scale, raw_pool, frac):
         cap = max(raw_pool, default=0.0)
         factor = min(1.0, z / cap) * scale if cap > 0.0 else 0.0
-        pool = [m * factor for m in raw_pool]
-        x = frac * (z + sum(pool))
-        res = mec.split_mass(z, x, pool)
-        assert res.z_r == z - res.z_d  # exact float identity, not approximate
-        assert 0.0 <= res.z_d <= z
-        filled = res.z_d + math.fsum(pool[k] for k in res.chosen)
+        records = [(m * factor, k) for k, m in enumerate(raw_pool) if m * factor > 0.0]
+        pool = MassPool()
+        for record in records:
+            pool.push(*record)
+        x = frac * (z + sum(m for m, _ in records))
+        z_d, taken = pool.split(z, x)
+        # the engines relocate z - z_d; it must be a non-negative piece of z
+        z_r = z - z_d
+        assert 0.0 <= z_d <= z
+        assert 0.0 <= z_r <= z
+        assert taken == sorted(records)[: len(taken)]  # smallest first
+        assert len(pool) == len(records) - len(taken)
+        filled = z_d + math.fsum(m for m, _ in taken)
         assert filled == pytest.approx(x, abs=1e-12)
 
 
 class TestMassPool:
     def test_total_tracks_fsum(self):
         rng = random.Random(11)
-        pool = mec.MassPool()
+        pool = MassPool()
         live = []
         for step in range(200):
             if live and rng.random() < 0.4:
@@ -99,7 +121,7 @@ class TestMassPool:
             assert pool.total == pytest.approx(math.fsum(live), abs=1e-12)
 
     def test_extraction_is_min_first_with_origin_tiebreak(self):
-        pool = mec.MassPool()
+        pool = MassPool()
         pool.push(0.2, 3)
         pool.push(0.1, 7)
         pool.push(0.1, 2)
@@ -107,29 +129,23 @@ class TestMassPool:
         assert pool.total == 0.0
 
     def test_push_rejects_non_positive_mass(self):
-        pool = mec.MassPool()
+        pool = MassPool()
         with pytest.raises(ValueError):
             pool.push(0.0, 0)
         with pytest.raises(ValueError):
             pool.push(-0.1, 0)
 
     def test_split_extracts_smallest_records(self):
-        pool = mec.MassPool()
-        pool.push(0.3, 0)
-        pool.push(0.05, 1)
-        pool.push(0.1, 2)
-        res, taken = pool.split(0.2, 0.3)
-        assert taken == ((0.05, 1), (0.1, 2))
-        assert res.chosen == frozenset({1, 2})
-        assert res.z_d == pytest.approx(0.15, abs=1e-15)
+        pool = pool_of(0.3, 0.05, 0.1)
+        z_d, taken = pool.split(0.2, 0.3)
+        assert taken == [(0.05, 1), (0.1, 2)]
+        assert z_d == pytest.approx(0.15, abs=1e-15)
         assert len(pool) == 1
         assert pool.total == pytest.approx(0.3, abs=1e-12)
 
     def test_split_rejects_unreachable_target(self):
-        pool = mec.MassPool()
-        pool.push(0.1, 0)
-        with pytest.raises(mec.InfeasibleSplitError):
-            pool.split(0.1, 0.5)
+        with pytest.raises(mec.InfeasibleSplitError, match="target"):
+            pool_of(0.1).split(0.1, 0.5)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
@@ -248,21 +264,48 @@ class TestEngineAgreement:
         assert cells[(5, 4)] == pytest.approx(0.01, abs=1e-12)
         assert cells[(4, 4)] == pytest.approx(0.02, abs=1e-12)
 
-    def test_entropies_stay_within_one_bit_of_each_other(self):
-        # the engines may resolve a split with different candidate subsets
-        # (index order vs mass order), so outputs need not match cell for
-        # cell; both sit in [H(glb), H(glb) + 1], hence within a bit
+    def test_seeded_pairs_match_bit_for_bit(self):
         rng = random.Random(67)
         for _ in range(60):
             p = random_masses(rng, rng.randint(1, 6))
             q = random_masses(rng, rng.randint(1, 6))
-            h_dense = mec.shannon_entropy(
-                mec.min_entropy_coupling_dense(p, q).values()
-            )
-            h_sparse = mec.shannon_entropy(
-                mec.min_entropy_coupling_sparse(p, q).values()
-            )
-            assert abs(h_dense - h_sparse) <= 1.0 + 1e-9
+            dense = mec.min_entropy_coupling_dense(p, q)
+            sparse = mec.min_entropy_coupling_sparse(p, q)
+            assert dense.entries == sparse.entries
+
+    def test_seeded_sweep_matches_bit_for_bit_under_debug(self):
+        rng = random.Random(2000)
+        for _ in range(2000):
+            p = random_masses(rng, rng.randint(1, 9))
+            q = random_masses(rng, rng.randint(1, 9))
+            dense = mec.min_entropy_coupling_dense(p, q, debug=True)
+            sparse = mec.min_entropy_coupling_sparse(p, q, debug=True)
+            assert dense.entries == sparse.entries
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unequal_lengths_with_zeros_match_under_debug(self, data):
+        def marginal(n: int) -> list[float]:
+            weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+            total = math.fsum(weights)
+            masses = [w / total for w in weights]
+            for _ in range(data.draw(st.integers(0, 2))):
+                masses.insert(data.draw(st.integers(0, len(masses))), 0.0)
+            return masses
+
+        n = data.draw(st.integers(1, 7))
+        m = data.draw(st.integers(1, 7).filter(lambda k: k != n))
+        p, q = marginal(n), marginal(m)
+        dense = mec.min_entropy_coupling_dense(p, q, debug=True)
+        sparse = mec.min_entropy_coupling_sparse(p, q, debug=True)
+        assert dense.entries == sparse.entries
+
+
+class TestDenseCap:
+    def test_rejects_a_side_over_the_cap(self):
+        n = DENSE_CAP + 1
+        with pytest.raises(mec.TooLargeError, match="dense engine"):
+            mec.min_entropy_coupling_dense([1.0], [1.0 / n] * n)
 
 
 class TestRoleSwap:

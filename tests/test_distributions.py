@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -61,6 +62,25 @@ class TestMakeDistribution:
     def test_rejects_renormalizing_zero_total(self):
         with pytest.raises(mec.NotNormalizedError):
             mec.make_distribution([0.0, 0.0], renormalize=True)
+
+    @pytest.mark.parametrize(
+        "raw, renormalize, component",
+        [
+            ([math.nan, 1.0], False, 0),
+            ([0.5, math.inf], False, 1),
+            ([1.0, -math.inf], False, 1),
+            ([math.inf, 1.0], True, 0),
+        ],
+        ids=["nan", "inf", "minus-inf", "inf-renormalized"],
+    )
+    def test_rejects_non_finite_components(self, raw, renormalize, component):
+        with pytest.raises(mec.InputError, match=f"component {component} is not finite"):
+            mec.make_distribution(raw, renormalize=renormalize)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_overflowing_total_is_not_normalized(self, renormalize):
+        with pytest.raises(mec.NotNormalizedError):
+            mec.make_distribution([1e308, 1e308], renormalize=renormalize)
 
     def test_tol_widens_the_total_check(self):
         mec.make_distribution([0.5, 0.495], tol=0.01)

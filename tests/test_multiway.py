@@ -35,7 +35,7 @@ class TestSparseJointType:
 
     def test_indexed_distribution_checks_lengths(self):
         with pytest.raises(ValueError):
-            mec.IndexedDistribution((0.5, 0.5), (((0,),)))
+            mec.multiway.IndexedDistribution((0.5, 0.5), (((0,),)))
 
 
 class TestAxisMarginals:
