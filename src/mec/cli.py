@@ -229,11 +229,14 @@ def _coupling_doc(m: SparseCoupling, h_glb: float, gap_bits: float, dense: bool)
     doc: dict = {"n_rows": m.n_rows, "n_cols": m.n_cols}
     if dense:
         matrix = [[0.0] * m.n_cols for _ in range(m.n_rows)]
-        for e in m.entries:
-            matrix[e.row][e.col] = e.value
+        for row, col, value in zip(m.rows, m.cols, m.values()):
+            matrix[row][col] = value
         doc["matrix"] = matrix
     else:
-        doc["entries"] = [{"i": e.row, "j": e.col, "v": e.value} for e in m.entries]
+        doc["entries"] = [
+            {"i": row, "j": col, "v": value}
+            for row, col, value in zip(m.rows, m.cols, m.values())
+        ]
     doc["entropy_bits"] = h
     doc["glb_entropy_bits"] = h_glb
     doc["gap_bound_bits"] = h_glb + gap_bits

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .distributions import (
     INTERNAL_TOL,
@@ -47,35 +49,125 @@ class CouplingEntry:
     col: int
 
 
-@dataclass(frozen=True, slots=True)
 class SparseCoupling:
     """A joint distribution over rows x cols, positive cells only.
 
-    Entries are sorted by (row, col). The support never exceeds
-    2 * max(n_rows, n_cols): each glb component is split at most once.
+    Stored as three parallel columns: cell k has mass ``values()[k]`` at
+    (``rows[k]``, ``cols[k]``), in caller coordinates. Engine output is
+    sorted by (row, col); the public constructor keeps the order it is
+    given. The support never exceeds 2 * max(n_rows, n_cols): each glb
+    component is split at most once. Instances are immutable, compare and
+    hash by their columns, and print as the constructor call that builds them.
     """
 
-    n_rows: int
-    n_cols: int
-    entries: tuple[CouplingEntry, ...]
+    __slots__ = ("n_rows", "n_cols", "rows", "cols", "_values")
 
-    def __post_init__(self) -> None:
-        seen: set[tuple[int, int]] = set()
-        for e in self.entries:
-            if e.value <= 0.0:
-                raise ValueError(f"entry ({e.row}, {e.col}) must be positive, got {e.value!r}")
-            if not (0 <= e.row < self.n_rows and 0 <= e.col < self.n_cols):
-                raise ValueError(f"entry ({e.row}, {e.col}) outside {self.n_rows} x {self.n_cols}")
-            if (e.row, e.col) in seen:
-                raise ValueError(f"duplicate entry at ({e.row}, {e.col})")
-            seen.add((e.row, e.col))
-        if len(self.entries) > 2 * max(self.n_rows, self.n_cols):
-            raise ValueError(
-                f"{len(self.entries)} entries exceed the 2*max(n_rows, n_cols) support bound"
-            )
+    def __init__(self, n_rows: int, n_cols: int, entries: Iterable[CouplingEntry]) -> None:
+        entries = tuple(entries)
+        rows, cols, values = (
+            tuple(map(operator.attrgetter(name), entries)) for name in ("row", "col", "value")
+        )
+        _fill(self, n_rows, n_cols, rows, cols, values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.n_rows, self.n_cols, self.rows, self.cols, self._values
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SparseCoupling:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"SparseCoupling(n_rows={self.n_rows!r}, n_cols={self.n_cols!r}, "
+                f"entries={self.entries!r})")
+
+    def __reduce__(self):
+        return SparseCoupling, (self.n_rows, self.n_cols, self.entries)
+
+    @property
+    def entries(self) -> tuple[CouplingEntry, ...]:
+        """The cells as :class:`CouplingEntry` records, built on each access."""
+        return tuple(map(CouplingEntry, self._values, self.rows, self.cols))
 
     def values(self) -> tuple[float, ...]:
-        return tuple(e.value for e in self.entries)
+        return self._values
+
+
+def _from_cells(n_rows: int, n_cols: int, cells: list[tuple[int, int, float]]) -> SparseCoupling:
+    """Build a coupling from (row, col, value) cells.
+
+    The engines' construction path: it makes no :class:`CouplingEntry` and
+    runs the public constructor's checks, with its messages, on the columns.
+    """
+    rows, cols, values = (tuple(map(operator.itemgetter(k), cells)) for k in range(3))
+    m = object.__new__(SparseCoupling)
+    _fill(m, n_rows, n_cols, rows, cols, values)
+    return m
+
+
+def _all_within(index, n) -> bool:
+    # 0 <= i < n for every i, compared one by one: min and max can skip a NaN
+    return all(map(operator.le, repeat(0), index)) and all(map(operator.lt, index, repeat(n)))
+
+
+def _first_bad_cell(n_rows, n_cols, rows, cols, values):
+    """The first cell, in order, that is non-positive, out of range or a
+    repeat, as (kind, row, col, value) with kind "value", "range" or
+    "duplicate"; None if there is none.
+
+    One C-level pass per check clears the usual case: positive values,
+    indices in range, and cells in strictly increasing (row, col) order, as
+    the engines emit them, so that no cell can repeat. Anything else, cells
+    in another order included, is walked cell by cell. The walk names the
+    first bad cell and settles what the passes cannot, such as NaN.
+    """
+    if not values:
+        return None
+    if (min(values) > 0.0 and _all_within(rows, n_rows) and _all_within(cols, n_cols)
+            and all(map(operator.lt, zip(rows, cols), islice(zip(rows, cols), 1, None)))):
+        return None
+    seen: set[tuple[int, int]] = set()
+    for value, row, col in zip(values, rows, cols):
+        if value <= 0.0:
+            return "value", row, col, value
+        if not (0 <= row < n_rows and 0 <= col < n_cols):
+            return "range", row, col, value
+        if (row, col) in seen:
+            return "duplicate", row, col, value
+        seen.add((row, col))
+    return None
+
+
+_CELL_ERRORS = {
+    "value": "entry ({row}, {col}) must be positive, got {value!r}",
+    "range": "entry ({row}, {col}) outside {n_rows} x {n_cols}",
+    "duplicate": "duplicate entry at ({row}, {col})",
+}
+
+
+def _fill(m, n_rows, n_cols, rows, cols, values) -> None:
+    # checks the columns and sets the fields of a new ``m``
+    bad = _first_bad_cell(n_rows, n_cols, rows, cols, values)
+    if bad is not None:
+        kind, row, col, value = bad
+        raise ValueError(_CELL_ERRORS[kind].format(
+            row=row, col=col, value=value, n_rows=n_rows, n_cols=n_cols))
+    if len(values) > 2 * max(n_rows, n_cols):
+        raise ValueError(
+            f"{len(values)} entries exceed the 2*max(n_rows, n_cols) support bound"
+        )
+    for name, value in (("n_rows", n_rows), ("n_cols", n_cols), ("rows", rows),
+                        ("cols", cols), ("_values", values)):
+        object.__setattr__(m, name, value)
 
 
 class MassPool:
@@ -202,8 +294,7 @@ def _finish(
         rows, cols = dp.perm, dq.perm
         cells = [(rows[r], cols[c], value) for value, r, c in raw]
     cells.sort()
-    entries = tuple(CouplingEntry(value, row, col) for row, col, value in cells)
-    return SparseCoupling(n_rows, n_cols, entries)
+    return _from_cells(n_rows, n_cols, cells)
 
 
 def _check_one_sided(col_over: bool, row_over: bool, i: int) -> None:
@@ -376,6 +467,13 @@ def _verify_split_conservation(
             raise InternalError(f"component {j} pieces {got} do not match split {expect}")
 
 
+_CELL_DIAGNOSTICS = {
+    "value": "entry ({row}, {col}) has non-positive value {value!r}",
+    "range": "entry ({row}, {col}) is out of range",
+    "duplicate": "duplicate entry at ({row}, {col})",
+}
+
+
 def is_valid_coupling(
     m: SparseCoupling,
     p: Distribution | Sequence[float],
@@ -393,30 +491,24 @@ def is_valid_coupling(
         return False, f"n_rows is {m.n_rows}, first marginal has {dp.n} components"
     if m.n_cols != dq.n:
         return False, f"n_cols is {m.n_cols}, second marginal has {dq.n} components"
-    seen: set[tuple[int, int]] = set()
-    row_sums = [[] for _ in range(m.n_rows)]
-    col_sums = [[] for _ in range(m.n_cols)]
-    for e in m.entries:
-        if e.value <= 0.0:
-            return False, f"entry ({e.row}, {e.col}) has non-positive value {e.value!r}"
-        if not (0 <= e.row < m.n_rows and 0 <= e.col < m.n_cols):
-            return False, f"entry ({e.row}, {e.col}) is out of range"
-        if (e.row, e.col) in seen:
-            return False, f"duplicate entry at ({e.row}, {e.col})"
-        seen.add((e.row, e.col))
-        row_sums[e.row].append(e.value)
-        col_sums[e.col].append(e.value)
-    pvec = dp.to_caller_order()
-    qvec = dq.to_caller_order()
-    for r in range(m.n_rows):
-        total = math.fsum(row_sums[r])
-        if abs(total - pvec[r]) > tol:
-            return False, f"row {r} sums to {total!r}, expected {pvec[r]!r}"
-    for c in range(m.n_cols):
-        total = math.fsum(col_sums[c])
-        if abs(total - qvec[c]) > tol:
-            return False, f"column {c} sums to {total!r}, expected {qvec[c]!r}"
+    rows, cols, values = m.rows, m.cols, m.values()
+    bad = _first_bad_cell(m.n_rows, m.n_cols, rows, cols, values)
+    if bad is not None:
+        kind, row, col, value = bad
+        return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
+    for name, index, n, target in (
+        ("row", rows, m.n_rows, dp.to_caller_order()),
+        ("column", cols, m.n_cols, dq.to_caller_order()),
+    ):
+        lines: list[list[float]] = [[] for _ in range(n)]
+        for k, value in zip(index, values):
+            lines[k].append(value)
+        totals = list(map(math.fsum, lines))
+        off = map(abs, map(operator.sub, totals, target))
+        if any(map(operator.gt, off, repeat(tol))):
+            k = next(k for k in range(n) if abs(totals[k] - target[k]) > tol)
+            return False, f"{name} {k} sums to {totals[k]!r}, expected {target[k]!r}"
     bound = 2 * max(m.n_rows, m.n_cols)
-    if len(m.entries) > bound:
-        return False, f"{len(m.entries)} entries exceed the support bound {bound}"
+    if len(values) > bound:
+        return False, f"{len(values)} entries exceed the support bound {bound}"
     return True, "ok"

@@ -13,6 +13,7 @@ that must equal 1 and is overridable per call (and from the CLI), while
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -68,9 +69,9 @@ class Distribution:
     def __post_init__(self) -> None:
         if len(self.masses) != len(self.perm):
             raise ValueError("masses and perm must have equal length")
-        for k in range(len(self.masses) - 1):
-            if self.masses[k] < self.masses[k + 1]:
-                raise ValueError("masses must be sorted non-increasingly")
+        m = self.masses
+        if any(map(operator.lt, m, m[1:])):
+            raise ValueError("masses must be sorted non-increasingly")
 
     @property
     def n(self) -> int:
@@ -120,16 +121,19 @@ def make_distribution(
         NotNormalizedError: the total is off by more than ``tol`` (or is not
             positive when renormalizing, or overflows the float range).
     """
-    values = [float(x) for x in raw]
+    values = list(map(float, raw))
     if not values:
         raise EmptyError("distribution must have at least one component")
-    for i, x in enumerate(values):
-        if not math.isfinite(x):
-            raise InputError(f"component {i} is not finite: {x!r}")
-        if x < -INTERNAL_TOL:
-            raise NegativeMassError(f"component {i} is negative: {x!r}")
-        if x < 0.0:
-            values[i] = 0.0
+    # one C-level pass accepts the common case; only a vector that needs a
+    # diagnostic or a clamp is walked component by component
+    if not (all(map(math.isfinite, values)) and min(values) >= 0.0):
+        for i, x in enumerate(values):
+            if not math.isfinite(x):
+                raise InputError(f"component {i} is not finite: {x!r}")
+            if x < -INTERNAL_TOL:
+                raise NegativeMassError(f"component {i} is negative: {x!r}")
+            if x < 0.0:
+                values[i] = 0.0
     try:
         total = math.fsum(values)
     except OverflowError as exc:
@@ -140,8 +144,9 @@ def make_distribution(
         values = [x / total for x in values]
     elif abs(total - 1.0) > tol:
         raise NotNormalizedError(f"masses sum to {total!r}, expected 1 within {tol}")
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return Distribution(tuple(values[i] for i in order), tuple(order))
+    # a reverse sort is still stable, so ties keep ascending caller indices
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return Distribution(tuple(map(values.__getitem__, order)), tuple(order))
 
 
 def as_distribution(d: Distribution | Sequence[float], tol: float = NORMALIZATION_TOL) -> Distribution:
@@ -154,13 +159,13 @@ def as_distribution(d: Distribution | Sequence[float], tol: float = NORMALIZATIO
 def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
     # shared validation for the entropy functionals; subnormalized input
     # is allowed, negative roundoff is clamped like make_distribution does
-    values = d.masses if isinstance(d, Distribution) else d
-    out = []
-    for i, x in enumerate(values):
-        if x < -INTERNAL_TOL:
-            raise NegativeMassError(f"component {i} is negative: {x!r}")
-        if x > 0.0:
-            out.append(float(x))
+    values = d.masses if isinstance(d, Distribution) else tuple(d)
+    out = [float(x) for x in values if x > 0.0]
+    # only a vector with components left out can hold a negative one
+    if len(out) < len(values) and not min(values) >= -INTERNAL_TOL:
+        for i, x in enumerate(values):
+            if x < -INTERNAL_TOL:
+                raise NegativeMassError(f"component {i} is negative: {x!r}")
     return out
 
 

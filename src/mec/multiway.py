@@ -101,7 +101,8 @@ def _merge(left: IndexedDistribution, right: IndexedDistribution) -> IndexedDist
     dr = Distribution(right.masses, tuple(range(len(right.masses))))
     coupling = min_entropy_coupling_sparse(dl, dr)
     pairs = [
-        (e.value, left.tags[e.row] + right.tags[e.col]) for e in coupling.entries
+        (value, left.tags[row] + right.tags[col])
+        for value, row, col in zip(coupling.values(), coupling.rows, coupling.cols)
     ]
     pairs.sort(key=lambda t: (-t[0], t[1]))
     return IndexedDistribution(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coupling import CouplingEntry, SparseCoupling
+from .coupling import SparseCoupling, _from_cells
 from .distributions import Distribution, as_distribution, shannon_entropy
 from .errors import TooLargeError
 
@@ -45,10 +45,8 @@ class VertexCoupling:
     def as_coupling(self) -> SparseCoupling:
         n_rows = len(self.grid)
         n_cols = len(self.grid[0])
-        entries = tuple(
-            CouplingEntry(self.grid[r][c], r, c) for r, c in self.support
-        )
-        return SparseCoupling(n_rows, n_cols, entries)
+        cells = [(r, c, self.grid[r][c]) for r, c in self.support]
+        return _from_cells(n_rows, n_cols, cells)
 
 
 @dataclass(frozen=True, slots=True)

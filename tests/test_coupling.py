@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -10,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mec
-from mec.coupling import DENSE_CAP, MassPool
-from conftest import H_WORKED_GLB, WORKED_P, WORKED_Q, random_masses
+from mec.coupling import DENSE_CAP, MassPool, _from_cells
+from conftest import H_WORKED_GLB, WORKED_P, WORKED_Q, grid64_masses, random_masses
 
 ENGINES = [mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse]
 ENGINE_IDS = ["dense", "sparse"]
@@ -345,6 +348,133 @@ class TestSparseCouplingType:
         )[:7]
         with pytest.raises(ValueError):
             mec.SparseCoupling(3, 3, entries)
+
+    def test_value_semantics(self):
+        m = mec.min_entropy_coupling_sparse(WORKED_P, WORKED_Q)
+        rebuilt = mec.SparseCoupling(m.n_rows, m.n_cols, list(m.entries))
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+        assert m != mec.SparseCoupling(m.n_rows, m.n_cols + 1, m.entries)
+        assert repr(m) == (
+            f"SparseCoupling(n_rows={m.n_rows}, n_cols={m.n_cols}, entries={m.entries!r})"
+        )
+        for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert copied == m and copied.values() == m.values()
+        with pytest.raises(AttributeError):
+            m.n_rows = 1
+        with pytest.raises(AttributeError):
+            del m.rows
+
+
+class TestFromCells:
+    """The engines' construction path keeps the public constructor's checks."""
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, cells, message",
+        [
+            (2, 2, [(0, 0, 0.5), (0, 1, 0.0), (1, 1, 0.5)],
+             "entry (0, 1) must be positive, got 0.0"),
+            # sub-1e-12 mass in a padded column of a 3 x 2 pair
+            (3, 2, [(0, 0, 0.6), (1, 1, 0.4), (2, 2, 1e-13)],
+             "entry (2, 2) outside 3 x 2"),
+            (2, 2, [(0, 0, 0.25), (0, 0, 0.25), (1, 1, 0.5)],
+             "duplicate entry at (0, 0)"),
+            # cells in any order: the repeat need not be adjacent
+            (2, 2, [(0, 0, 0.25), (1, 1, 0.5), (0, 0, 0.25)],
+             "duplicate entry at (0, 0)"),
+            # a NaN index is unequal to everything, so it is neither in range
+            # nor ordered; min and max would pass it
+            (2, 2, [(0, 0, 0.5), (math.nan, 1, 0.5)],
+             "entry (nan, 1) outside 2 x 2"),
+            (2, 2, [(0, 0, 0.5), (1, math.nan, 0.5)],
+             "entry (1, nan) outside 2 x 2"),
+            (3, 3, [(r, c, 1.0 / 7.0) for r in range(3) for c in range(3)][:7],
+             "7 entries exceed the 2*max(n_rows, n_cols) support bound"),
+            # the first bad cell in order is named, as by a per-cell check
+            (2, 2, [(0, 0, 0.5), (0, 0, 0.5), (0, 5, -1.0)],
+             "duplicate entry at (0, 0)"),
+        ],
+        ids=["non-positive", "padded-column", "duplicate", "unsorted-duplicate", "nan-row",
+             "nan-column", "over-support", "first-bad"],
+    )
+    def test_rejects_what_the_public_constructor_rejects(self, n_rows, n_cols, cells, message):
+        entries = tuple(mec.CouplingEntry(v, r, c) for r, c, v in cells)
+        with pytest.raises(ValueError) as public:
+            mec.SparseCoupling(n_rows, n_cols, entries)
+        with pytest.raises(ValueError) as private:
+            _from_cells(n_rows, n_cols, cells)
+        assert str(private.value) == str(public.value) == message
+
+    def test_matches_the_public_constructor(self):
+        m = mec.min_entropy_coupling_sparse(WORKED_P, WORKED_Q)
+        rebuilt = mec.SparseCoupling(m.n_rows, m.n_cols, m.entries)
+        assert rebuilt == m
+        assert rebuilt.values() == m.values()
+        assert m.entries == tuple(
+            mec.CouplingEntry(v, r, c) for v, r, c in zip(m.values(), m.rows, m.cols)
+        )
+        assert list(zip(m.rows, m.cols)) == sorted(zip(m.rows, m.cols))
+
+
+def _pin_masses(rng: random.Random, n: int, zeros: int) -> list[float]:
+    masses = random_masses(rng, n)
+    for _ in range(zeros):
+        masses.insert(rng.randrange(len(masses) + 1), 0.0)
+    return masses
+
+
+def _sha256(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
+class TestBitIdentityPin:
+    """Digests of engine output, float bits included, frozen from the
+    entry-per-cell implementation that preceded the columnar one."""
+
+    # (seed, len p, len q, zeros in p), digest for (p, q), digest for (q, p);
+    # one of the two orders takes the role swap
+    PAIRS = [
+        (37, 37, 29, 3,
+         "98a777f9c949af861a203127ce0202065bacda7f619518e7e52185d182e0e6c4",
+         "cd74e73bff982781d5656f2d61829490dc1bdbf96fc761b71de77755b9665547"),
+        (1000, 1000, 1000, 5,
+         "8f375445c203443ba2a8630dd9d73c67df81eb23aa630732c524603cb1c9463c",
+         "b9928bc1f40c91325655c227c42c7a676b083ed6be4ff6f4f7ac4dbe6cc7a467"),
+        (50000, 50000, 48500, 40,
+         "99e74c0851a557b64edb909cbd30c8a5695c46d1157bb649ca4213d3bf95ed77",
+         "00da56eef2f22a7b814a1ac9977d0f90c7b61e1764b88562abff6b238d450f25"),
+    ]
+    JOINT_K5 = "534d578df178736da4c2b1d962412ad338f6263bb5837e8bf860e4566d7a1601"
+    JOINT_K5_TIES = "dbc18a692ad1157f8183e20b94c59ab9fbbcba2305397c23a85509464485de8f"
+
+    @pytest.mark.parametrize("seed, n, m, zeros, forward, reverse", PAIRS,
+                             ids=[str(case[0]) for case in PAIRS])
+    def test_sparse_output_is_bit_identical(self, seed, n, m, zeros, forward, reverse):
+        rng = random.Random(seed)
+        p = _pin_masses(rng, n, zeros)
+        q = _pin_masses(rng, m, zeros // 2)
+        for a, b, digest in ((p, q, forward), (q, p, reverse)):
+            c = mec.min_entropy_coupling_sparse(a, b)
+            assert _sha256(
+                f"{v.hex()} {r} {col}" for v, r, col in zip(c.values(), c.rows, c.cols)
+            ) == digest
+
+    def test_k_way_output_is_bit_identical(self):
+        rng = random.Random(5)
+        ds = [_pin_masses(rng, rng.randint(40, 300), rng.randint(0, 3)) for _ in range(5)]
+        joint = mec.min_entropy_joint_k(ds)
+        assert len(joint.entries) == 1067
+        assert _sha256(f"{e.value.hex()} {e.coords}" for e in joint.entries) == self.JOINT_K5
+
+    def test_k_way_ties_are_bit_identical(self):
+        # dyadic masses tie often, so the merges' tie-break order shows
+        rng = random.Random(64)
+        ds = [grid64_masses(rng, rng.randint(3, 12)) for _ in range(5)]
+        joint = mec.min_entropy_joint_k(ds)
+        assert len(joint.entries) == 25
+        assert _sha256(f"{e.value.hex()} {e.coords}" for e in joint.entries) == self.JOINT_K5_TIES
 
 
 class TestIsValidCoupling:

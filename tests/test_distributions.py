@@ -23,6 +23,19 @@ def mass_vectors(draw, max_n: int = 8) -> list[float]:
     return [w / total for w in weights]
 
 
+@st.composite
+def tie_prone_vectors(draw) -> list[float]:
+    # a few distinct weights, so ties are common, normalized to sum 1; then
+    # explicit zeros, negative zeros and negative roundoff in [-1e-12, 0)
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 0.5]), min_size=1, max_size=10))
+    total = math.fsum(weights)
+    raw = [w / total for w in weights]
+    specials = st.sampled_from([0.0, -0.0, -1e-12, -5e-13, -1e-300])
+    for x in draw(st.lists(specials, max_size=4)):
+        raw.insert(draw(st.integers(0, len(raw))), x)
+    return raw
+
+
 class TestMakeDistribution:
     def test_sorts_and_records_permutation(self):
         d = mec.make_distribution([0.3, 0.7])
@@ -50,6 +63,26 @@ class TestMakeDistribution:
     def test_rejects_empty(self):
         with pytest.raises(mec.EmptyError):
             mec.make_distribution([])
+
+    @given(tie_prone_vectors(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_perm_matches_the_value_then_index_key(self, raw, renormalize):
+        d = mec.make_distribution(raw, renormalize=renormalize)
+        # the values that get sorted: roundoff negatives clamped, then scaled
+        # when renormalizing
+        values = d.to_caller_order()
+        if not renormalize:
+            assert values == tuple(0.0 if x < 0.0 else x for x in raw)
+        assert d.perm == tuple(sorted(range(len(raw)), key=lambda i: (-values[i], i)))
+        assert d.masses == tuple(values[i] for i in d.perm)
+
+    def test_order_check_skips_nan_like_a_pairwise_loop(self):
+        nan = float("nan")
+        # NaN compares false both ways, so only 0.2 < 0.5 side by side is caught
+        assert mec.Distribution((0.2, nan, 0.5), (0, 1, 2)).n == 3
+        assert mec.Distribution((nan, 0.5, 0.2), (0, 1, 2)).n == 3
+        with pytest.raises(ValueError, match="sorted non-increasingly"):
+            mec.Distribution((0.2, 0.5, nan), (0, 1, 2))
 
     def test_rejects_negative_mass(self):
         with pytest.raises(mec.NegativeMassError):
