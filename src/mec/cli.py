@@ -4,7 +4,9 @@ Inputs are JSON (a bare array, or an object with "p" / "q" / "dists" keys;
 one document may carry both marginals) or CSV with one distribution per line
 when --csv is given. Every run is deterministic: the same inputs and flags
 produce byte-identical output, and floats are serialized so they re-read
-bit-for-bit.
+bit-for-bit. Every document is exactly ``json.dumps(doc, indent=2)`` plus a
+newline; entry lists are rendered straight from the coupling's or joint's
+columns, one fixed template per entry, to the same bytes.
 
 Exit codes: 0 success; 2 input or usage problem (diagnostic names the
 offending field); 3 violated internal invariant.
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .coupling import (
@@ -40,6 +44,46 @@ _ENGINES = {
     "dense": min_entropy_coupling_dense,
     "sparse": min_entropy_coupling_sparse,
 }
+
+# one entry of a top-level entry list, laid out as json.dumps(doc, indent=2)
+# lays it out: %d prints an int as json does, and %r is float.__repr__, which
+# json uses for finite floats (coupling and joint values are always finite)
+_PAIR_ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "v": %r\n    }'
+
+
+def _joint_entry(k: int) -> str:
+    coords = ",\n".join(["        %d"] * k)
+    return '    {\n      "coords": [\n' + coords + '\n      ],\n      "v": %r\n    }'
+
+
+class _Entries:
+    """A top-level entry list: ``template % row`` renders each entry.
+
+    The rows are kept as a tuple, so a document renders as often as needed.
+    """
+
+    # a plain class: a dataclass would add its build time to every import
+    __slots__ = ("template", "rows")
+
+    def __init__(self, template: str, rows: Iterable[tuple]) -> None:
+        self.template = template
+        self.rows = tuple(rows)
+
+
+def _document(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for a non-empty
+    ``doc`` whose values may include :class:`_Entries`."""
+    pieces: list[str] = []
+    for key, value in doc.items():
+        pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": "]
+        if isinstance(value, _Entries):
+            body = ",\n".join(map(value.template.__mod__, value.rows))
+            pieces += ["[\n", body, "\n  ]"] if body else ["[]"]
+        else:
+            # a JSON string holds no raw newline, so this indents every line
+            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,10 +277,7 @@ def _coupling_doc(m: SparseCoupling, h_glb: float, gap_bits: float, dense: bool)
             matrix[row][col] = value
         doc["matrix"] = matrix
     else:
-        doc["entries"] = [
-            {"i": row, "j": col, "v": value}
-            for row, col, value in zip(m.rows, m.cols, m.values())
-        ]
+        doc["entries"] = _Entries(_PAIR_ENTRY, zip(m.rows, m.cols, m.values()))
     doc["entropy_bits"] = h
     doc["glb_entropy_bits"] = h_glb
     doc["gap_bound_bits"] = h_glb + gap_bits
@@ -260,12 +301,14 @@ def _execute(job: JobSpec) -> dict:
         rows = _load_dists(job)
         ds = [_dist(row, f"dists[{i}]", job) for i, row in enumerate(rows)]
         joint = min_entropy_joint_k(ds)
+        values = joint.values()
         h_glb = shannon_entropy(glb_many(ds).masses)
         kappa = (len(ds) - 1).bit_length()
+        cells = map(operator.add, map(operator.attrgetter("coords"), joint.entries), zip(values))
         return {
             "dims": list(joint.dims),
-            "entries": [{"coords": list(e.coords), "v": e.value} for e in joint.entries],
-            "entropy_bits": shannon_entropy(joint.values()),
+            "entries": _Entries(_joint_entry(len(joint.dims)), cells),
+            "entropy_bits": shannon_entropy(values),
             "glb_entropy_bits": h_glb,
             "gap_bound_bits": h_glb + kappa,
         }
@@ -330,7 +373,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _document(doc)
     if job.out_path:
         try:
             with open(job.out_path, "w", encoding="utf-8") as fh:

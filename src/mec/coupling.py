@@ -120,25 +120,28 @@ def _all_within(index, n) -> bool:
 
 
 def _first_bad_cell(n_rows, n_cols, rows, cols, values):
-    """The first cell, in order, that is non-positive, out of range or a
-    repeat, as (kind, row, col, value) with kind "value", "range" or
-    "duplicate"; None if there is none.
+    """The first cell, in order, that is non-positive, not finite, out of
+    range or a repeat, as (kind, row, col, value) with kind "value",
+    "finite", "range" or "duplicate"; None if there is none.
 
-    One C-level pass per check clears the usual case: positive values,
-    indices in range, and cells in strictly increasing (row, col) order, as
-    the engines emit them, so that no cell can repeat. Anything else, cells
-    in another order included, is walked cell by cell. The walk names the
-    first bad cell and settles what the passes cannot, such as NaN.
+    One C-level pass per check clears the usual case: finite positive
+    values, indices in range, and cells in strictly increasing (row, col)
+    order, as the engines emit them, so that no cell can repeat. Anything
+    else, cells in another order included, is walked cell by cell. The walk
+    names the first bad cell and settles what the passes cannot, such as NaN.
     """
     if not values:
         return None
-    if (min(values) > 0.0 and _all_within(rows, n_rows) and _all_within(cols, n_cols)
+    if (min(values) > 0.0 and all(map(math.isfinite, values))
+            and _all_within(rows, n_rows) and _all_within(cols, n_cols)
             and all(map(operator.lt, zip(rows, cols), islice(zip(rows, cols), 1, None)))):
         return None
     seen: set[tuple[int, int]] = set()
     for value, row, col in zip(values, rows, cols):
         if value <= 0.0:
             return "value", row, col, value
+        if not math.isfinite(value):
+            return "finite", row, col, value
         if not (0 <= row < n_rows and 0 <= col < n_cols):
             return "range", row, col, value
         if (row, col) in seen:
@@ -149,6 +152,7 @@ def _first_bad_cell(n_rows, n_cols, rows, cols, values):
 
 _CELL_ERRORS = {
     "value": "entry ({row}, {col}) must be positive, got {value!r}",
+    "finite": "entry ({row}, {col}) must be finite, got {value!r}",
     "range": "entry ({row}, {col}) outside {n_rows} x {n_cols}",
     "duplicate": "duplicate entry at ({row}, {col})",
 }
@@ -469,6 +473,7 @@ def _verify_split_conservation(
 
 _CELL_DIAGNOSTICS = {
     "value": "entry ({row}, {col}) has non-positive value {value!r}",
+    "finite": "entry ({row}, {col}) has non-finite value {value!r}",
     "range": "entry ({row}, {col}) is out of range",
     "duplicate": "duplicate entry at ({row}, {col})",
 }
@@ -504,9 +509,10 @@ def is_valid_coupling(
         for k, value in zip(index, values):
             lines[k].append(value)
         totals = list(map(math.fsum, lines))
+        # NaN-safe: a NaN total or target is off by more than any tol
         off = map(abs, map(operator.sub, totals, target))
-        if any(map(operator.gt, off, repeat(tol))):
-            k = next(k for k in range(n) if abs(totals[k] - target[k]) > tol)
+        if not all(map(operator.le, off, repeat(tol))):
+            k = next(k for k in range(n) if not abs(totals[k] - target[k]) <= tol)
             return False, f"{name} {k} sums to {totals[k]!r}, expected {target[k]!r}"
     bound = 2 * max(m.n_rows, m.n_cols)
     if len(values) > bound:

@@ -12,8 +12,10 @@ summed back out of the final joint.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, cycle, groupby, islice, repeat
 
 from .coupling import min_entropy_coupling_sparse
 from .distributions import (
@@ -35,16 +37,42 @@ class JointEntry:
 
 @dataclass(frozen=True, slots=True)
 class SparseJoint:
-    """A joint distribution over a k-fold product space, positive cells only."""
+    """A joint distribution over a k-fold product space, positive cells only.
+
+    :func:`min_entropy_joint_k` emits its entries sorted by coordinates.
+    """
 
     dims: tuple[int, ...]
     entries: tuple[JointEntry, ...]
 
     def __post_init__(self) -> None:
+        # One C-level pass per check clears the usual case: finite positive
+        # values, coordinates that are tuples with one per axis, each in
+        # range, and in strictly increasing order, as the engine emits them,
+        # so that none can repeat. Anything else, entries in another order
+        # included, is walked entry by entry; the walk names the first bad
+        # entry and settles what the passes cannot, such as a NaN coordinate.
+        values = list(map(_VALUE, self.entries))
+        coords = list(map(_COORDS, self.entries))
+        if not values or (
+            min(values) > 0.0
+            and all(map(math.isfinite, values))
+            and all(map(isinstance, coords, repeat(tuple)))
+            and all(map(operator.eq, map(len, coords), repeat(len(self.dims))))
+            # every entry has one coordinate per axis, so the flattened
+            # coordinates line up with the cycled dims; each is compared
+            # one by one, as min and max can skip a NaN
+            and all(map(operator.le, repeat(0), chain.from_iterable(coords)))
+            and all(map(operator.lt, chain.from_iterable(coords), cycle(self.dims)))
+            and all(map(operator.lt, coords, islice(coords, 1, None)))
+        ):
+            return
         seen: set[tuple[int, ...]] = set()
         for e in self.entries:
             if e.value <= 0.0:
                 raise ValueError(f"entry {e.coords} must be positive, got {e.value!r}")
+            if not math.isfinite(e.value):
+                raise ValueError(f"entry {e.coords} must be finite, got {e.value!r}")
             if len(e.coords) != len(self.dims):
                 raise ValueError(f"entry {e.coords} does not have {len(self.dims)} coordinates")
             for axis, (c, d) in enumerate(zip(e.coords, self.dims)):
@@ -55,7 +83,11 @@ class SparseJoint:
             seen.add(e.coords)
 
     def values(self) -> tuple[float, ...]:
-        return tuple(e.value for e in self.entries)
+        return tuple(map(_VALUE, self.entries))
+
+
+_VALUE = operator.attrgetter("value")
+_COORDS = operator.attrgetter("coords")
 
 
 def axis_marginals(joint: SparseJoint) -> tuple[tuple[float, ...], ...]:
@@ -96,15 +128,24 @@ def _leaf(d: Distribution) -> IndexedDistribution:
     return IndexedDistribution(tuple(masses), tuple(tags))
 
 
-def _merge(left: IndexedDistribution, right: IndexedDistribution) -> IndexedDistribution:
+def _couple(
+    left: IndexedDistribution, right: IndexedDistribution
+) -> tuple[tuple[float, ...], list[tuple[int, ...]]]:
+    # the cells of the pairwise coupling of two nodes, in engine order: their
+    # values, and the row's tag joined to the column's
     dl = Distribution(left.masses, tuple(range(len(left.masses))))
     dr = Distribution(right.masses, tuple(range(len(right.masses))))
     coupling = min_entropy_coupling_sparse(dl, dr)
-    pairs = [
-        (value, left.tags[row] + right.tags[col])
-        for value, row, col in zip(coupling.values(), coupling.rows, coupling.cols)
-    ]
-    pairs.sort(key=lambda t: (-t[0], t[1]))
+    tags = list(map(
+        operator.add,
+        map(left.tags.__getitem__, coupling.rows),
+        map(right.tags.__getitem__, coupling.cols),
+    ))
+    return coupling.values(), tags
+
+
+def _node(values: Sequence[float], tags: list[tuple[int, ...]]) -> IndexedDistribution:
+    pairs = sorted(zip(values, tags), key=lambda t: (-t[0], t[1]))
     return IndexedDistribution(
         tuple(v for v, _ in pairs), tuple(tag for _, tag in pairs)
     )
@@ -138,33 +179,31 @@ def min_entropy_joint_k(
     nodes = [_leaf(d) for d in padded]
     below = [[d] for d in padded]
     level = 0
-    while len(nodes) > 1:
+    while True:
         level += 1
-        next_nodes = []
-        next_below = []
-        for t in range(0, len(nodes), 2):
-            merged = _merge(nodes[t], nodes[t + 1])
-            leaves = below[t] + below[t + 1]
-            if debug:
+        cells = [_couple(nodes[t], nodes[t + 1]) for t in range(0, len(nodes), 2)]
+        below = [below[t] + below[t + 1] for t in range(0, len(below), 2)]
+        if debug:
+            for (values, _), leaves in zip(cells, below):
                 witness = half_iter(glb_many(leaves), level)
-                if not majorizes(witness, merged.masses):
+                if not majorizes(witness, values):
                     raise InternalError(
                         f"level {level} node violates its majorization witness"
                     )
-            next_nodes.append(merged)
-            next_below.append(leaves)
-        nodes = next_nodes
-        below = next_below
+        if len(cells) == 1:
+            break
+        nodes = [_node(values, tags) for values, tags in cells]
 
-    # duplicate axes replicate the last real axis; summing them out restores
-    # the k-marginal joint
-    cells: dict[tuple[int, ...], list[float]] = {}
-    for value, tag in zip(nodes[0].masses, nodes[0].tags):
-        cells.setdefault(tag[:k], []).append(value)
-    entries = tuple(
-        JointEntry(math.fsum(vs), coords) for coords, vs in sorted(cells.items())
-    )
-    return SparseJoint(dims, entries)
+    # the root's cells are sorted once, by coordinates. Duplicate axes
+    # replicate the last real axis; once they are cut off, cells that share
+    # coordinates are summed back into one. Without padding every run is a
+    # single cell, and fsum of one value is that value.
+    values, tags = cells[0]
+    cut = [tag[:k] for tag in tags]
+    runs = groupby(sorted(range(len(cut)), key=cut.__getitem__), key=cut.__getitem__)
+    entries = (JointEntry(math.fsum(map(values.__getitem__, run)), coords)
+               for coords, run in runs)
+    return SparseJoint(dims, tuple(entries))
 
 
 def joint_lower_bound_k(ds: Sequence[Distribution | Sequence[float]]) -> float:

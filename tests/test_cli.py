@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.metadata
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mec
+from mec import cli
 from mec.cli import run
 from mec.coupling import DENSE_CAP
-from conftest import WORKED_P, WORKED_Q
+from conftest import WORKED_P, WORKED_Q, random_masses
 
 
 @pytest.fixture
@@ -273,6 +278,137 @@ class TestOracleCheckCommand:
         )
         assert code == 2
         assert "cap" in err
+
+
+def _seeded_masses(rng: random.Random, n: int, zeros: int) -> list[float]:
+    masses = random_masses(rng, n)
+    for _ in range(zeros):
+        masses.insert(rng.randrange(len(masses) + 1), 0.0)
+    return masses
+
+
+def _golden_inputs(tmp_path) -> dict[str, str]:
+    """Seeded input documents, by the name the golden argv lists use."""
+    rng = random.Random(20261018)
+    docs = {
+        "pair": {"p": _seeded_masses(rng, 60, 3), "q": _seeded_masses(rng, 45, 1)},
+        "small": {"p": _seeded_masses(rng, 3, 0), "q": _seeded_masses(rng, 4, 0)},
+    }
+    for k in (3, 4, 5, 6, 7):
+        docs[f"k{k}"] = [
+            _seeded_masses(rng, rng.randint(20, 150), rng.randint(0, 2)) for _ in range(k)
+        ]
+    paths = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+class TestGoldenBytes:
+    """SHA-256 of stdout on seeded inputs, frozen from the output of
+    ``json.dumps(doc, indent=2)`` that preceded the template writer."""
+
+    GOLDEN = [
+        ("couple-sparse-engine-sparse-format", ["couple", "--p", "{pair}"],
+         "be6d20298173481a12574d010abefa77468374c34f53a7a0af4b2a1b838d7494"),
+        ("couple-sparse-engine-dense-format",
+         ["couple", "--format", "dense", "--p", "{pair}"],
+         "2d9633a7ba622e7a02dab5ece1ea8ec7eda9aa656765e9cf663878cf5cd55be3"),
+        ("couple-dense-engine-sparse-format",
+         ["couple", "--engine", "dense", "--p", "{pair}"],
+         "be6d20298173481a12574d010abefa77468374c34f53a7a0af4b2a1b838d7494"),
+        ("couple-dense-engine-dense-format",
+         ["couple", "--engine", "dense", "--format", "dense", "--p", "{pair}"],
+         "2d9633a7ba622e7a02dab5ece1ea8ec7eda9aa656765e9cf663878cf5cd55be3"),
+        ("couple-k-3-padded", ["couple-k", "--dists", "{k3}"],
+         "c705e76bdb770ea99785e154dbb986860b180658e61be9b3756914b0abed40a0"),
+        ("couple-k-4", ["couple-k", "--dists", "{k4}"],
+         "f2874e0f8523742b7c8c3cd8df6449317dba4eefd4a6add6dc09c3d2204237cd"),
+        ("couple-k-5-padded", ["couple-k", "--dists", "{k5}"],
+         "e3604967f0d8d6208bab43a5f53bc7b661b5dc7e1d995d4dbebc2d66bc99dff2"),
+        # the root of the k = 6 tree has cells that share coordinates once
+        # its padding axes are cut off
+        ("couple-k-6-padded", ["couple-k", "--dists", "{k6}"],
+         "30d6df0264a84996cfd6424a727437372331b7b8f7ad096404b97892e450833b"),
+        ("couple-k-7-padded", ["couple-k", "--dists", "{k7}"],
+         "734f54e9284f7b318f53902f6e4ef529bced83a8ff7302d62c1d627eb9993248"),
+        ("glb", ["glb", "--p", "{pair}"],
+         "8af5bd84bb88f81b01cdcc742d41a20493cbe42fa0e221bbef55551275158949"),
+        ("entropy-shannon", ["entropy", "--p", "{pair}"],
+         "8b9328491c2ae2d95534d504085750185d5019054c8b5050e1bdacb5afce5316"),
+        ("entropy-renyi-2", ["entropy", "--alpha", "2", "--p", "{pair}"],
+         "c04697ffa63b10feea8543f5238996b5485bfaca9ec8063cd5e8c2059c9b895c"),
+        ("entropy-renyi-half", ["entropy", "--alpha", "0.5", "--p", "{pair}"],
+         "dabd5bc7512a428fc10776850d81b7408e35ec9e3d097307fff6c0b606b5c881"),
+        ("bounds", ["bounds", "--p", "{pair}"],
+         "62cd5be85f1655eec9dfa1448611a5dd61b22dfb985f2349edc23d1f764f2977"),
+        ("metric", ["metric", "--p", "{pair}"],
+         "fe97dfae15934101d82b0ebeb68dcc5ed0162ce89bd0a72ad7d5f1cc54c8933a"),
+        ("oracle-check", ["oracle-check", "--p", "{small}"],
+         "9fb41496c0f4d047aaae5c319458cf2317015d3738d31d940849a26a0aa398bd"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", [case[1:] for case in GOLDEN],
+                             ids=[case[0] for case in GOLDEN])
+    def test_stdout_is_byte_identical(self, capsys, tmp_path, argv, digest):
+        paths = _golden_inputs(tmp_path)
+        code = run([arg.format(**paths) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_couple_k_values_re_read_bit_for_bit(self, capsys, tmp_path, k):
+        paths = _golden_inputs(tmp_path)
+        doc = run_json(capsys, ["couple-k", "--dists", paths[f"k{k}"]])
+        with open(paths[f"k{k}"], encoding="utf-8") as fh:
+            joint = mec.min_entropy_joint_k(json.load(fh))
+        got = [e["v"] for e in doc["entries"]]
+        assert [v.hex() for v in got] == [v.hex() for v in joint.values()]
+        assert [tuple(e["coords"]) for e in doc["entries"]] == [e.coords for e in joint.entries]
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, 1e-05, 1e16, 0.1 + 0.2, 1 - 2**-53, -0.0, 2.0**1023]
+)
+_INTS = st.integers() | st.sampled_from([2**63, -(2**64) - 1, 10**30])
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | st.text(max_size=8)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+_FIELDS = st.dictionaries(
+    st.text(max_size=8).filter(lambda key: key != "entries"), _VALUES, max_size=4
+)
+
+
+class TestDocumentWriter:
+    """The one writer is ``json.dumps(doc, indent=2)`` plus a newline, byte
+    for byte, whether or not an entry list is rendered from its rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=_FIELDS.filter(bool))
+    def test_scalar_only_documents(self, fields):
+        assert cli._document(fields) == json.dumps(fields, indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(before=_FIELDS, after=_FIELDS,
+           rows=st.lists(st.tuples(_INTS, _INTS, _FLOATS), max_size=6))
+    def test_pair_entries(self, before, after, rows):
+        doc = {**before, "entries": cli._Entries(cli._PAIR_ENTRY, iter(rows)), **after}
+        want = {**before, "entries": [{"i": i, "j": j, "v": v} for i, j, v in rows], **after}
+        # rendered twice: the rows are kept, not used up by the first render
+        assert cli._document(doc) == cli._document(doc) == json.dumps(want, indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(before=_FIELDS, after=_FIELDS, k=st.integers(1, 7), data=st.data())
+    def test_joint_entries(self, before, after, k, data):
+        cells = data.draw(st.lists(
+            st.tuples(st.tuples(*[_INTS] * k), _FLOATS), max_size=6
+        ))
+        rows = (coords + (v,) for coords, v in cells)
+        doc = {**before, "entries": cli._Entries(cli._joint_entry(k), rows), **after}
+        want = {**before, "entries": [{"coords": list(c), "v": v} for c, v in cells], **after}
+        assert cli._document(doc) == cli._document(doc) == json.dumps(want, indent=2) + "\n"
 
 
 class TestCsvInputs:

@@ -387,6 +387,10 @@ class TestFromCells:
              "entry (nan, 1) outside 2 x 2"),
             (2, 2, [(0, 0, 0.5), (1, math.nan, 0.5)],
              "entry (1, nan) outside 2 x 2"),
+            (2, 2, [(0, 0, 0.5), (1, 1, math.nan)],
+             "entry (1, 1) must be finite, got nan"),
+            (2, 2, [(0, 0, math.inf), (1, 1, 0.5)],
+             "entry (0, 0) must be finite, got inf"),
             (3, 3, [(r, c, 1.0 / 7.0) for r in range(3) for c in range(3)][:7],
              "7 entries exceed the 2*max(n_rows, n_cols) support bound"),
             # the first bad cell in order is named, as by a per-cell check
@@ -394,7 +398,7 @@ class TestFromCells:
              "duplicate entry at (0, 0)"),
         ],
         ids=["non-positive", "padded-column", "duplicate", "unsorted-duplicate", "nan-row",
-             "nan-column", "over-support", "first-bad"],
+             "nan-column", "nan-value", "inf-value", "over-support", "first-bad"],
     )
     def test_rejects_what_the_public_constructor_rejects(self, n_rows, n_cols, cells, message):
         entries = tuple(mec.CouplingEntry(v, r, c) for r, c, v in cells)
@@ -518,3 +522,14 @@ class TestIsValidCoupling:
         assert not ok
         ok, _ = mec.is_valid_coupling(m, (0.6, 0.4), (0.6003, 0.3997), tol=1e-3)
         assert ok
+
+    def test_rejects_a_nan_cell_or_target(self):
+        # the constructors reject a NaN cell, so plant one in a built coupling
+        m = self.diag((0.5, 0.5))
+        object.__setattr__(m, "_values", (0.5, math.nan))
+        ok, why = mec.is_valid_coupling(m, (0.5, 0.5), (0.5, 0.5))
+        assert (ok, why) == (False, "entry (1, 1) has non-finite value nan")
+        # a NaN line total or target is off by more than any tol
+        target = mec.Distribution((math.nan, 0.5), (0, 1))
+        ok, why = mec.is_valid_coupling(self.diag((0.5, 0.5)), target, (0.5, 0.5))
+        assert (ok, why) == (False, "row 0 sums to 0.5, expected nan")

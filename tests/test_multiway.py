@@ -38,6 +38,66 @@ class TestSparseJointType:
             mec.multiway.IndexedDistribution((0.5, 0.5), (((0,),)))
 
 
+class TestSparseJointChecks:
+    """The constructor's C-level passes and its entry walk reject the same
+    entries with the same messages, whether the entries arrive sorted by
+    coordinates, as the engine emits them, or not."""
+
+    GOOD = [(0.25, (0, 0)), (0.25, (0, 1))]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((0.0, (1, 0)), "entry (1, 0) must be positive, got 0.0"),
+            ((-0.5, (1, 0)), "entry (1, 0) must be positive, got -0.5"),
+            ((math.nan, (1, 0)), "entry (1, 0) must be finite, got nan"),
+            ((math.inf, (1, 0)), "entry (1, 0) must be finite, got inf"),
+            ((0.5, (1, 0, 0)), "entry (1, 0, 0) does not have 2 coordinates"),
+            ((0.5, (1,)), "entry (1,) does not have 2 coordinates"),
+            ((0.5, (2, 0)), "entry (2, 0) out of range on axis 0"),
+            ((0.5, (1, 2)), "entry (1, 2) out of range on axis 1"),
+            ((0.5, (1, -1)), "entry (1, -1) out of range on axis 1"),
+            # a NaN is unequal to everything, so it is neither in range nor
+            # ordered; min and max would pass it
+            ((0.5, (math.nan, 0)), "entry (nan, 0) out of range on axis 0"),
+            ((0.5, (1, math.nan)), "entry (1, nan) out of range on axis 1"),
+            ((0.5, (0, 1)), "duplicate entry at (0, 1)"),
+        ],
+        ids=["zero", "negative", "nan-value", "inf-value", "long-coords", "short-coords",
+             "axis-0", "axis-1", "negative-axis-1", "nan-axis-0", "nan-axis-1", "duplicate"],
+    )
+    @pytest.mark.parametrize("order", ["sorted", "unsorted"])
+    def test_rejects_a_bad_entry(self, bad, message, order):
+        # sorted: the bad entry comes last, after the good ones it does not
+        # precede; unsorted: it comes first, so a repeat is not adjacent
+        cells = self.GOOD + [bad] if order == "sorted" else [bad] + self.GOOD[::-1]
+        entries = tuple(mec.JointEntry(v, c) for v, c in cells)
+        with pytest.raises(ValueError) as exc:
+            mec.SparseJoint((2, 2), entries)
+        assert str(exc.value) == message
+
+    def test_names_the_first_bad_entry(self):
+        entries = tuple(mec.JointEntry(v, c) for v, c in [
+            (0.25, (0, 0)), (0.25, (0, 0)), (-1.0, (0, 5)),
+        ])
+        with pytest.raises(ValueError, match=r"^duplicate entry at \(0, 0\)$"):
+            mec.SparseJoint((2, 2), entries)
+
+    def test_unhashable_coordinates_are_a_type_error(self):
+        # the walk's set of seen coordinates rejects a list, sorted or not
+        for cells in ([(0.5, (0, 0)), (0.5, [0, 1])], [(0.5, [0, 1]), (0.5, (0, 0))]):
+            entries = tuple(mec.JointEntry(v, c) for v, c in cells)
+            with pytest.raises(TypeError, match="unhashable"):
+                mec.SparseJoint((2, 2), entries)
+
+    def test_accepts_valid_entries_in_any_order(self):
+        cells = [(0.5, (1, 1)), (0.25, (0, 1)), (0.25, (0, 0))]
+        for order in (cells, sorted(cells, key=lambda cell: cell[1])):
+            entries = tuple(mec.JointEntry(v, c) for v, c in order)
+            assert mec.SparseJoint((2, 2), entries).entries == entries
+        assert mec.SparseJoint((2, 2), ()).values() == ()
+
+
 class TestAxisMarginals:
     def test_small_known_joint(self):
         j = mec.SparseJoint(
