@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from collections.abc import Iterable
@@ -285,6 +286,9 @@ def _coupling_doc(m: SparseCoupling, h_glb: float, gap_bits: float, dense: bool)
 
 
 def _execute(job: JobSpec) -> dict:
+    # NaN-safe: a NaN tol fails the comparison
+    if not 0.0 <= job.tol < math.inf:
+        raise InputError(f"tol: must be finite and non-negative, got {job.tol!r}")
     if job.subcommand == "glb":
         p, q = _load_marginals(job, need_q=True)
         z = glb(_dist(p, "p", job), _dist(q, "q", job))

@@ -32,6 +32,7 @@ from .distributions import (
     INTERNAL_TOL,
     NORMALIZATION_TOL,
     Distribution,
+    _caller_masses,
     as_distribution,
 )
 from .errors import InfeasibleSplitError, InternalError, TooLargeError
@@ -206,7 +207,8 @@ class MassPool:
         self._sum = t
 
     def push(self, mass: float, origin: int) -> None:
-        if mass <= 0.0:
+        # NaN-safe: a NaN mass is not positive
+        if not mass > 0.0:
             raise ValueError(f"pool masses must be positive, got {mass!r}")
         heapq.heappush(self._heap, (mass, origin))
         self._accumulate(mass)
@@ -479,6 +481,44 @@ _CELL_DIAGNOSTICS = {
 }
 
 
+def _caller_order(d: Distribution | list[float]) -> Sequence[float]:
+    return d.to_caller_order() if isinstance(d, Distribution) else d
+
+
+def _lines_pass(index, values, n: int, target, tol: float) -> bool:
+    """True if every line's exact sum is within ``tol`` of its target.
+
+    A plain-float screen that may only accept: False means "not shown",
+    and the caller decides with ``fsum``. Requires the cells to have passed
+    :func:`_first_bad_cell`, so every value is finite and positive.
+    """
+    try:
+        totals = [0.0] * n
+        for k, value in zip(index, values):
+            totals[k] += value
+        # With u = 2**-53, a line of c <= N = len(values) nonnegative terms
+        # with exact sum S has a left-to-right sum s within (c-1)*u*S of S
+        # (Rump, BIT 2012; no bound on c), and its fsum f is S correctly
+        # rounded, within u*S. So |s - f| <= c*u*S <= 2*N*u*M, with
+        # M = max(1, max total) >= s >= S/2 for any N that fits in memory.
+        # The computed |s - t| understates the exact one by at most a factor
+        # 1 - u, and tol - slack rounds up by at most a factor 1 + u: together
+        # at most 3*u*tol. Hence |s - t| <= tol - slack in floats, with
+        # slack = 4*u*(N*M + tol), gives |f - t| <= tol - 2*N*u*M - u*tol
+        # exactly; computing |f - t| adds at most u*tol, so fsum's check
+        # accepts the line too.
+        slack = 2.0**-51 * (len(values) * max(1.0, max(totals, default=0.0)) + tol)
+        bound = tol - slack
+        # NaN-safe: a NaN or too small bound, and a NaN or inf total or target,
+        # fail here and leave the verdict to fsum
+        return bound > 0.0 and all(
+            map(operator.le, map(abs, map(operator.sub, totals, target)), repeat(bound)))
+    except TypeError:
+        # an index, value, target or tol of an odd type: fsum's walk decides,
+        # and raises the same error where it must
+        return False
+
+
 def is_valid_coupling(
     m: SparseCoupling,
     p: Distribution | Sequence[float],
@@ -488,23 +528,31 @@ def is_valid_coupling(
     """Check every coupling invariant against the prescribed marginals.
 
     Returns (True, "ok") or (False, diagnostic); the diagnostic names the
-    first violated row or column in index order.
+    first violated row or column in index order. Raw marginals get the checks
+    of :func:`make_distribution`, with its exceptions, p before q.
     """
-    dp = as_distribution(p)
-    dq = as_distribution(q)
-    if m.n_rows != dp.n:
-        return False, f"n_rows is {m.n_rows}, first marginal has {dp.n} components"
-    if m.n_cols != dq.n:
-        return False, f"n_cols is {m.n_cols}, second marginal has {dq.n} components"
+    # raw marginals are validated in the caller's order: no sort to undo
+    tp = p if isinstance(p, Distribution) else _caller_masses(p)
+    tq = q if isinstance(q, Distribution) else _caller_masses(q)
+    n_p = tp.n if isinstance(tp, Distribution) else len(tp)
+    n_q = tq.n if isinstance(tq, Distribution) else len(tq)
+    if m.n_rows != n_p:
+        return False, f"n_rows is {m.n_rows}, first marginal has {n_p} components"
+    if m.n_cols != n_q:
+        return False, f"n_cols is {m.n_cols}, second marginal has {n_q} components"
     rows, cols, values = m.rows, m.cols, m.values()
     bad = _first_bad_cell(m.n_rows, m.n_cols, rows, cols, values)
     if bad is not None:
         kind, row, col, value = bad
         return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
     for name, index, n, target in (
-        ("row", rows, m.n_rows, dp.to_caller_order()),
-        ("column", cols, m.n_cols, dq.to_caller_order()),
+        ("row", rows, m.n_rows, _caller_order(tp)),
+        ("column", cols, m.n_cols, _caller_order(tq)),
     ):
+        # a cheap plain-float pass clears the usual case; only a line it
+        # cannot clear sends its side to the exact fsum per line
+        if _lines_pass(index, values, n, target, tol):
+            continue
         lines: list[list[float]] = [[] for _ in range(n)]
         for k, value in zip(index, values):
             lines[k].append(value)

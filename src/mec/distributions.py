@@ -121,6 +121,23 @@ def make_distribution(
         NotNormalizedError: the total is off by more than ``tol`` (or is not
             positive when renormalizing, or overflows the float range).
     """
+    values = _caller_masses(raw, renormalize, tol)
+    # a reverse sort is still stable, so ties keep ascending caller indices
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return Distribution(tuple(map(values.__getitem__, order)), tuple(order))
+
+
+def _caller_masses(
+    raw: Sequence[float],
+    renormalize: bool = False,
+    tol: float = NORMALIZATION_TOL,
+) -> list[float]:
+    """The masses :func:`make_distribution` would sort, in the caller's order.
+
+    Runs every check of :func:`make_distribution`, with its exceptions and
+    messages, and returns the coerced, clamped (and, if asked, renormalized)
+    components unsorted.
+    """
     values = list(map(float, raw))
     if not values:
         raise EmptyError("distribution must have at least one component")
@@ -141,12 +158,11 @@ def make_distribution(
     if renormalize:
         if total <= 0.0:
             raise NotNormalizedError("cannot renormalize a zero-mass vector")
-        values = [x / total for x in values]
-    elif abs(total - 1.0) > tol:
+        return [x / total for x in values]
+    # NaN-safe: a NaN tol accepts nothing
+    if not abs(total - 1.0) <= tol:
         raise NotNormalizedError(f"masses sum to {total!r}, expected 1 within {tol}")
-    # a reverse sort is still stable, so ties keep ascending caller indices
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    return Distribution(tuple(map(values.__getitem__, order)), tuple(order))
+    return values
 
 
 def as_distribution(d: Distribution | Sequence[float], tol: float = NORMALIZATION_TOL) -> Distribution:
@@ -190,9 +206,10 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
     rejected rather than silently switched to the Shannon limit.
 
     Raises:
-        BadAlphaError: ``alpha <= 0`` or ``alpha`` within 1e-9 of 1.
+        BadAlphaError: ``alpha`` is not a finite order above 0, or lies
+            within 1e-9 of 1.
     """
-    if alpha <= 0.0 or abs(alpha - 1.0) <= 1e-9:
+    if not 0.0 < alpha < math.inf or abs(alpha - 1.0) <= 1e-9:
         raise BadAlphaError(f"order must lie in (0,1) or (1,inf), got {alpha!r}")
     positive = _positive_masses(d)
     if not positive:

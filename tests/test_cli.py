@@ -205,6 +205,14 @@ class TestEntropyCommand:
         assert code == 2
         assert err.startswith("error: alpha: ")
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_rejected(self, capsys, files, alpha):
+        code = run(["entropy", "--alpha", alpha, "--p", files("p.json", [0.5, 0.5])])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: alpha: ")
+
     def test_alpha_flag_only_exists_here(self, capsys, files):
         code, _ = run_error(
             capsys,
@@ -537,6 +545,14 @@ class TestFlags:
         assert code == 2
         doc = run_json(capsys, ["entropy", "--tol", "1e-2", "--p", path])
         assert math.isfinite(doc["entropy_bits"])
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_non_negative(self, capsys, files, tol):
+        code = run(["entropy", "--tol", tol, "--p", files("p.json", [0.9, 0.9])])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol: ")
 
     def test_out_writes_the_document(self, capsys, files, tmp_path):
         target = tmp_path / "doc.json"

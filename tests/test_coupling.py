@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import copy
+import decimal
+import functools
 import hashlib
 import math
+import operator
 import pickle
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mec
-from mec.coupling import DENSE_CAP, MassPool, _from_cells
+from mec.coupling import _CELL_DIAGNOSTICS, DENSE_CAP, MassPool, _first_bad_cell, _from_cells
 from conftest import H_WORKED_GLB, WORKED_P, WORKED_Q, grid64_masses, random_masses
 
 ENGINES = [mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse]
@@ -137,6 +141,13 @@ class TestMassPool:
             pool.push(0.0, 0)
         with pytest.raises(ValueError):
             pool.push(-0.1, 0)
+
+    def test_push_rejects_nan_mass(self):
+        pool = pool_of(0.25)
+        with pytest.raises(ValueError, match="pool masses must be positive, got nan"):
+            pool.push(math.nan, 1)
+        assert len(pool) == 1
+        assert pool.total == 0.25
 
     def test_split_extracts_smallest_records(self):
         pool = pool_of(0.3, 0.05, 0.1)
@@ -533,3 +544,219 @@ class TestIsValidCoupling:
         target = mec.Distribution((math.nan, 0.5), (0, 1))
         ok, why = mec.is_valid_coupling(self.diag((0.5, 0.5)), target, (0.5, 0.5))
         assert (ok, why) == (False, "row 0 sums to 0.5, expected nan")
+
+
+def reference_is_valid_coupling(m, p, q, tol=mec.NORMALIZATION_TOL):
+    """``is_valid_coupling`` as it stood before the plain-sum screen: both
+    marginals through ``as_distribution`` and back to caller order, and one
+    ``fsum`` per line."""
+    dp = mec.as_distribution(p)
+    dq = mec.as_distribution(q)
+    if m.n_rows != dp.n:
+        return False, f"n_rows is {m.n_rows}, first marginal has {dp.n} components"
+    if m.n_cols != dq.n:
+        return False, f"n_cols is {m.n_cols}, second marginal has {dq.n} components"
+    rows, cols, values = m.rows, m.cols, m.values()
+    bad = _first_bad_cell(m.n_rows, m.n_cols, rows, cols, values)
+    if bad is not None:
+        kind, row, col, value = bad
+        return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
+    for name, index, n, target in (
+        ("row", rows, m.n_rows, dp.to_caller_order()),
+        ("column", cols, m.n_cols, dq.to_caller_order()),
+    ):
+        lines: list[list[float]] = [[] for _ in range(n)]
+        for k, value in zip(index, values):
+            lines[k].append(value)
+        totals = list(map(math.fsum, lines))
+        # NaN-safe: a NaN total or target is off by more than any tol
+        off = map(abs, map(operator.sub, totals, target))
+        if not all(map(operator.le, off, repeat(tol))):
+            k = next(k for k in range(n) if not abs(totals[k] - target[k]) <= tol)
+            return False, f"{name} {k} sums to {totals[k]!r}, expected {target[k]!r}"
+    bound = 2 * max(m.n_rows, m.n_cols)
+    if len(values) > bound:
+        return False, f"{len(values)} entries exceed the support bound {bound}"
+    return True, "ok"
+
+
+def outcome(check, *args):
+    """The verdict of ``check(*args)``, or the type and message it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
+        return type(exc), str(exc)
+
+
+def planted(n_rows: int, n_cols: int, cells) -> mec.SparseCoupling:
+    """A coupling holding ``cells`` = [(row, col, value)] as given, unchecked."""
+    m = _from_cells(1, 1, [])
+    for name, value in (("n_rows", n_rows), ("n_cols", n_cols)):
+        object.__setattr__(m, name, value)
+    for name, k in (("rows", 0), ("cols", 1), ("_values", 2)):
+        object.__setattr__(m, name, tuple(cell[k] for cell in cells))
+    return m
+
+
+def nudged(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place (down if negative)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+def plain_sum(values) -> float:
+    """Left to right in floats (the builtin ``sum`` compensates from 3.12)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+CHECK_TOLS = [0.0, 1e-15, 1e-12, 1e-9, 1e-6, math.inf, math.nan]
+
+
+@st.composite
+def marginals(draw, n: int) -> list[float]:
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    masses = [w / total for w in weights]
+    for _ in range(draw(st.integers(0, 2))):
+        masses.insert(draw(st.integers(0, len(masses))), 0.0)
+    return masses
+
+
+@st.composite
+def checked_targets(draw, raw: list[float]):
+    """``raw`` as the checker may receive it: the raw list, a Distribution,
+    a Distribution holding NaN, or a raw list that fails validation."""
+    kind = draw(st.sampled_from(["raw", "distribution", "nan-distribution", "invalid"]))
+    if kind == "raw":
+        return raw
+    if kind == "invalid":
+        bad = list(raw)
+        k = draw(st.integers(0, len(bad) - 1))
+        how = draw(st.sampled_from(["negative", "roundoff", "nan", "inf", "scaled", "empty"]))
+        if how == "empty":
+            return []
+        if how == "scaled":
+            return [1.25 * x for x in bad]
+        bad[k] = {"negative": -0.1, "roundoff": -1e-13, "nan": math.nan, "inf": math.inf}[how]
+        return bad
+    d = mec.make_distribution(raw)
+    if kind == "nan-distribution":
+        masses = list(d.masses)
+        masses[draw(st.integers(0, len(masses) - 1))] = math.nan
+        d = mec.Distribution(tuple(masses), d.perm)
+    return d
+
+
+class TestIsValidCouplingMatchesReference:
+    """Same verdict and message, or the same exception, as the fsum-only
+    checker, over the cases where a plain-sum screen could go wrong."""
+
+    @given(st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_engine_outputs(self, data):
+        n = data.draw(st.integers(1, 8))
+        m_ = data.draw(st.integers(1, 8))
+        p, q = data.draw(marginals(n)), data.draw(marginals(m_))
+        m = mec.min_entropy_coupling_sparse(p, q)
+        tol = data.draw(st.sampled_from(CHECK_TOLS))
+        values = list(m.values())
+        k = data.draw(st.integers(0, len(values) - 1))
+        how = data.draw(st.sampled_from(["none", "ulps", "tol"]))
+        ulps = data.draw(st.integers(-4, 4))
+        if how == "ulps":
+            values[k] = nudged(values[k], ulps)
+        elif how == "tol":
+            values[k] = nudged(values[k] + data.draw(st.sampled_from([tol, -tol])), ulps)
+        m = planted(m.n_rows, m.n_cols, list(zip(m.rows, m.cols, values)))
+        tp, tq = data.draw(checked_targets(p)), data.draw(checked_targets(q))
+        assert outcome(mec.is_valid_coupling, m, tp, tq, tol) == outcome(
+            reference_is_valid_coupling, m, tp, tq, tol
+        )
+
+    @given(st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_hand_built_couplings(self, data):
+        # long lines in shuffled order, and targets that are the lines'
+        # plain left-to-right sums or fsums, a few ulps either way
+        n_rows = data.draw(st.integers(1, 4))
+        n_cols = data.draw(st.integers(1, 9))
+        grid = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+        cells = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(cells),
+                                     max_size=len(cells)))
+        total = math.fsum(weights)
+        cells = [(r, c, w / total) for (r, c), w in zip(cells, data.draw(st.permutations(weights)))]
+        cells = data.draw(st.permutations(cells))
+        summed = data.draw(st.sampled_from([plain_sum, math.fsum]))
+        tol = data.draw(st.sampled_from(CHECK_TOLS))
+
+        def target(axis: int, n: int) -> list[float]:
+            # one line's target moves by 0 or tol, then by a few ulps
+            line = [summed(v for *rc, v in cells if rc[axis] == k) for k in range(n)]
+            k = data.draw(st.integers(0, n - 1))
+            shift = data.draw(st.sampled_from([0.0, tol, -tol]))
+            line[k] = nudged(line[k] + shift, data.draw(st.integers(-4, 4)))
+            return line
+
+        p, q = target(0, n_rows), target(1, n_cols)
+        if data.draw(st.booleans()):
+            p, q = (mec.Distribution(*zip(*sorted(((x, i) for i, x in enumerate(line)),
+                                                  key=lambda xi: -xi[0])))
+                    for line in (p, q))
+        m = planted(n_rows, n_cols, cells)
+        assert outcome(mec.is_valid_coupling, m, p, q, tol) == outcome(
+            reference_is_valid_coupling, m, p, q, tol
+        )
+
+    @given(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=9),
+           st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6]), st.sampled_from([1.0, -1.0]),
+           st.integers(-2, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_a_line_at_the_tolerance_edge(self, weights, tol, sign, ulps):
+        # the target sits tol away from the line's plain sum, give or take
+        # an ulp or two, where the plain sum and fsum can get different verdicts
+        total = math.fsum(weights)
+        values = [w / total for w in weights]
+        m = planted(1, len(values), [(0, c, v) for c, v in enumerate(values)])
+        p = mec.Distribution((nudged(plain_sum(values) + sign * tol, ulps),), (0,))
+        q = mec.make_distribution(values)
+        assert outcome(mec.is_valid_coupling, m, p, q, tol) == outcome(
+            reference_is_valid_coupling, m, p, q, tol
+        )
+
+    @pytest.mark.parametrize(
+        "cells, tol",
+        [
+            ([(0, 0, decimal.Decimal("0.5")), (1, 1, decimal.Decimal("0.5"))], 1e-9),
+            ([(0, 0, 0.5), (1, 1, 0.5)], None),
+            ([(0, 0, 0.5), (1, 1, 0.5)], "1e-9"),
+            ([(0, 0, 0.5), (1.0, 1, 0.5)], 1e-9),
+            ([(0, 0, 0.5), (1, 1.0, 0.5)], 1e-9),
+        ],
+        ids=["decimal-values", "none-tol", "str-tol", "float-row", "float-col"],
+    )
+    def test_odd_types_match_the_reference(self, cells, tol):
+        m = planted(2, 2, cells)
+        got = outcome(mec.is_valid_coupling, m, [0.5, 0.5], [0.5, 0.5], tol)
+        assert got == outcome(reference_is_valid_coupling, m, [0.5, 0.5], [0.5, 0.5], tol)
+
+    @pytest.mark.parametrize(
+        "tol, expected",
+        [
+            (0.0, (False, "row 0 sums to 0.6, expected 0.6000000000000001")),
+            (1e-16, (False, "row 0 sums to 0.6, expected 0.6000000000000001")),
+            (2e-16, (True, "ok")),
+            (math.inf, (True, "ok")),
+            (math.nan, (False, "row 0 sums to 0.6, expected 0.6000000000000001")),
+        ],
+    )
+    def test_a_plain_sum_on_target_still_goes_to_fsum(self, tol, expected):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; fsum gives 0.6
+        m = mec.SparseCoupling(1, 3, [mec.CouplingEntry(v, 0, c) for c, v in
+                                      enumerate((0.1, 0.2, 0.3))])
+        p = mec.Distribution((0.1 + 0.2 + 0.3,), (0,))
+        q = mec.Distribution((0.3, 0.2, 0.1), (2, 1, 0))
+        assert mec.is_valid_coupling(m, p, q, tol) == expected
+        assert reference_is_valid_coupling(m, p, q, tol) == expected

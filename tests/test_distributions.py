@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mec
+from mec.distributions import _caller_masses
 from conftest import H_WORKED_GLB, WORKED_GLB, WORKED_Q, random_masses
 
 
@@ -120,6 +121,31 @@ class TestMakeDistribution:
         with pytest.raises(mec.NotNormalizedError):
             mec.make_distribution([0.5, 0.495], tol=1e-9)
 
+    @pytest.mark.parametrize("raw", [[0.9, 0.9], [0.5, 0.5]])
+    def test_nan_tol_accepts_no_total(self, raw):
+        with pytest.raises(mec.NotNormalizedError, match="expected 1 within nan"):
+            mec.make_distribution(raw, tol=math.nan)
+
+    @given(tie_prone_vectors(), st.booleans(),
+           st.sampled_from([0.0, 1e-15, 1e-9, 0.5, math.inf, math.nan]),
+           st.sampled_from([None, math.nan, math.inf, -0.2, 0.25, "empty"]))
+    @settings(max_examples=300, deadline=None)
+    def test_caller_masses_are_the_unsorted_distribution(self, raw, renormalize, tol, bad):
+        # the same checks, exceptions and floats as make_distribution, unsorted
+        if bad == "empty":
+            raw = []
+        elif bad is not None:
+            raw[len(raw) // 2] = bad
+
+        def outcome(f):
+            try:
+                return [x.hex() for x in f()]
+            except mec.InputError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: _caller_masses(raw, renormalize, tol)) == outcome(
+            lambda: mec.make_distribution(raw, renormalize, tol).to_caller_order())
+
     @given(mass_vectors())
     @settings(max_examples=100, deadline=None)
     def test_caller_order_roundtrip(self, raw):
@@ -193,6 +219,11 @@ class TestRenyiEntropy:
     @pytest.mark.parametrize("alpha", [0.0, -2.0, 1.0, 1 + 1e-10])
     def test_rejects_bad_orders(self, alpha):
         with pytest.raises(mec.BadAlphaError):
+            mec.renyi_entropy([0.5, 0.5], alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_orders(self, alpha):
+        with pytest.raises(mec.BadAlphaError, match="order must lie in"):
             mec.renyi_entropy([0.5, 0.5], alpha)
 
     @given(mass_vectors(), st.sampled_from([0.5, 2.0, 10.0]))
