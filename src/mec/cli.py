@@ -36,8 +36,8 @@ from .distributions import (
     shannon_entropy,
 )
 from .errors import InputError, InternalError
-from .majorization import glb, glb_many
-from .multiway import min_entropy_joint_k
+from .majorization import glb
+from .multiway import frl_bounds, min_entropy_joint_k
 from .oracle import brute_force_min_entropy
 from .reports import bounds_report, metric_estimate
 
@@ -174,10 +174,13 @@ def _vector(obj: object, field: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{field}: expected a non-empty array of numbers")
     values = []
-    for x in obj:
+    for i, x in enumerate(obj):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InputError(f"{field}: expected numbers, found {x!r}")
-        values.append(float(x))
+        try:
+            values.append(float(x))
+        except OverflowError as exc:
+            raise InputError(f"{field}: component {i} is too large for a float") from exc
     return values
 
 
@@ -187,8 +190,13 @@ def _json_doc(path: str, field: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{field}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{field}: {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # malformed JSON, or an integer past the interpreter's digit limit
         raise InputError(f"{field}: {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{field}: {path} nests arrays or objects too deeply") from exc
 
 
 def _csv_rows(path: str, field: str) -> list[list[float]]:
@@ -197,6 +205,8 @@ def _csv_rows(path: str, field: str) -> list[list[float]]:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise InputError(f"{field}: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{field}: {path} is not UTF-8 text: {exc}") from exc
     rows = []
     for line in lines:
         if not line:
@@ -306,15 +316,14 @@ def _execute(job: JobSpec) -> dict:
         ds = [_dist(row, f"dists[{i}]", job) for i, row in enumerate(rows)]
         joint = min_entropy_joint_k(ds)
         values = joint.values()
-        h_glb = shannon_entropy(glb_many(ds).masses)
-        kappa = (len(ds) - 1).bit_length()
+        bounds = frl_bounds(ds)
         cells = map(operator.add, map(operator.attrgetter("coords"), joint.entries), zip(values))
         return {
             "dims": list(joint.dims),
             "entries": _Entries(_joint_entry(len(joint.dims)), cells),
             "entropy_bits": shannon_entropy(values),
-            "glb_entropy_bits": h_glb,
-            "gap_bound_bits": h_glb + kappa,
+            "glb_entropy_bits": bounds.lower,
+            "gap_bound_bits": bounds.upper,
         }
 
     if job.subcommand == "entropy":

@@ -1,12 +1,12 @@
-"""Couplings of k marginals via a balanced tree of pairwise merges.
+"""Couplings of k marginals via a tree of pairwise merges.
 
 Each leaf is one marginal with single-index tags; each internal node couples
 its children's mass vectors with the sparse pairwise engine and concatenates
-their tags, so a node at level l carries 2^l coordinates per component. The
-entropy gap doubles its budget once per level, giving H <= H(glb of all
-marginals) + ceil(log2 k) at the root. Lists whose length is not a power of
-two are padded by duplicating the last marginal; the duplicate axes are
-summed back out of the final joint.
+their tags, so every tag carries one coordinate per leaf below the node.
+Adjacent nodes merge level by level and an odd last node moves up a level
+unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
+its budget at most once per level, giving H <= H(glb of all marginals) +
+ceil(log2 k) at the root.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, cycle, groupby, islice, repeat
+from itertools import chain, cycle, islice, repeat
 
 from .coupling import min_entropy_coupling_sparse
 from .distributions import (
@@ -101,23 +101,13 @@ def axis_marginals(joint: SparseJoint) -> tuple[tuple[float, ...], ...]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class IndexedDistribution:
-    """Sorted positive masses, each tagged with its marginal coordinates.
-
-    Tags start as single caller indices at the leaves and grow by
-    concatenation with every merge.
-    """
-
-    masses: tuple[float, ...]
-    tags: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.masses) != len(self.tags):
-            raise ValueError("masses and tags must have equal length")
+# A tree node is a pair (masses, tags): positive masses, each tagged with its
+# marginal coordinates. Tags start as single caller indices at the leaves and
+# grow by concatenation with every merge.
+_Node = tuple[Sequence[float], Sequence[tuple[int, ...]]]
 
 
-def _leaf(d: Distribution) -> IndexedDistribution:
+def _leaf(d: Distribution) -> _Node:
     # zero components can never receive mass; drop them up front
     masses = []
     tags = []
@@ -125,30 +115,27 @@ def _leaf(d: Distribution) -> IndexedDistribution:
         if m > 0.0:
             masses.append(m)
             tags.append((d.perm[pos],))
-    return IndexedDistribution(tuple(masses), tuple(tags))
+    return tuple(masses), tuple(tags)
 
 
-def _couple(
-    left: IndexedDistribution, right: IndexedDistribution
-) -> tuple[tuple[float, ...], list[tuple[int, ...]]]:
-    # the cells of the pairwise coupling of two nodes, in engine order: their
-    # values, and the row's tag joined to the column's
-    dl = Distribution(left.masses, tuple(range(len(left.masses))))
-    dr = Distribution(right.masses, tuple(range(len(right.masses))))
+def _couple(left: _Node, right: _Node) -> _Node:
+    # the cells of the pairwise coupling of two mass-sorted nodes, in engine
+    # order: their values, and the row's tag joined to the column's
+    (left_masses, left_tags), (right_masses, right_tags) = left, right
+    dl = Distribution(left_masses, tuple(range(len(left_masses))))
+    dr = Distribution(right_masses, tuple(range(len(right_masses))))
     coupling = min_entropy_coupling_sparse(dl, dr)
     tags = list(map(
         operator.add,
-        map(left.tags.__getitem__, coupling.rows),
-        map(right.tags.__getitem__, coupling.cols),
+        map(left_tags.__getitem__, coupling.rows),
+        map(right_tags.__getitem__, coupling.cols),
     ))
     return coupling.values(), tags
 
 
-def _node(values: Sequence[float], tags: list[tuple[int, ...]]) -> IndexedDistribution:
-    pairs = sorted(zip(values, tags), key=lambda t: (-t[0], t[1]))
-    return IndexedDistribution(
-        tuple(v for v, _ in pairs), tuple(tag for _, tag in pairs)
-    )
+def _by_mass(node: _Node) -> _Node:
+    pairs = sorted(zip(*node), key=lambda t: (-t[0], t[1]))
+    return tuple(v for v, _ in pairs), tuple(tag for _, tag in pairs)
 
 
 def min_entropy_joint_k(
@@ -157,10 +144,13 @@ def min_entropy_joint_k(
 ) -> SparseJoint:
     """Couple k >= 2 marginals with entropy at most H(glb of all) + ceil(log2 k).
 
-    The output's axis-a marginal equals ds[a] (caller order) within the
-    normalization tolerance. With ``debug`` on, every internal tree node is
-    checked against its majorization witness: the level-l doubling of the glb
-    of the leaves below the node must sit below the node's masses.
+    Adjacent nodes merge level by level, and an odd last node moves up a
+    level unchanged, so the tree is ceil(log2 k) merges deep. The output's
+    axis-a marginal equals ds[a] (caller order) within the normalization
+    tolerance, and its entries are sorted by coordinates. With ``debug`` on,
+    every merge is checked against its majorization witness: the d-fold
+    halving of the glb of the leaves below the merged node, d its depth,
+    must sit below the node's masses.
 
     Raises:
         EmptyError: no distributions given.
@@ -171,39 +161,35 @@ def min_entropy_joint_k(
     if len(ds) == 1:
         raise TooFewError("coupling requires at least two distributions")
     dists = [as_distribution(d) for d in ds]
-    k = len(dists)
     dims = tuple(d.n for d in dists)
-    n_leaves = 1 << (k - 1).bit_length()
-    padded = dists + [dists[-1]] * (n_leaves - k)
 
-    nodes = [_leaf(d) for d in padded]
-    below = [[d] for d in padded]
-    level = 0
+    nodes = [_leaf(d) for d in dists]
+    # the leaves below each node, and its depth: the debug witness's inputs
+    below = [([d], 0) for d in dists]
     while True:
-        level += 1
-        cells = [_couple(nodes[t], nodes[t + 1]) for t in range(0, len(nodes), 2)]
-        below = [below[t] + below[t + 1] for t in range(0, len(below), 2)]
+        pairs = range(0, len(nodes) - 1, 2)
+        cells = [_couple(nodes[t], nodes[t + 1]) for t in pairs]
+        # an odd last node moves up a level unchanged
+        rest = slice(2 * len(cells), None)
         if debug:
-            for (values, _), leaves in zip(cells, below):
-                witness = half_iter(glb_many(leaves), level)
-                if not majorizes(witness, values):
+            below = [
+                (below[t][0] + below[t + 1][0], max(below[t][1], below[t + 1][1]) + 1)
+                for t in pairs
+            ] + below[rest]
+            for (values, _), (leaves, depth) in zip(cells, below):
+                if not majorizes(half_iter(glb_many(leaves), depth), values):
                     raise InternalError(
-                        f"level {level} node violates its majorization witness"
+                        f"depth {depth} node violates its majorization witness"
                     )
-        if len(cells) == 1:
+        if len(nodes) == 2:
             break
-        nodes = [_node(values, tags) for values, tags in cells]
+        # every merged node but the root is coupled again, so each is sorted
+        # by mass once, here
+        nodes = list(map(_by_mass, cells)) + nodes[rest]
 
-    # the root's cells are sorted once, by coordinates. Duplicate axes
-    # replicate the last real axis; once they are cut off, cells that share
-    # coordinates are summed back into one. Without padding every run is a
-    # single cell, and fsum of one value is that value.
+    # the root's cells are sorted once, by coordinates, which never repeat
     values, tags = cells[0]
-    cut = [tag[:k] for tag in tags]
-    runs = groupby(sorted(range(len(cut)), key=cut.__getitem__), key=cut.__getitem__)
-    entries = (JointEntry(math.fsum(map(values.__getitem__, run)), coords)
-               for coords, run in runs)
-    return SparseJoint(dims, tuple(entries))
+    return SparseJoint(dims, tuple(JointEntry(v, c) for c, v in sorted(zip(tags, values))))
 
 
 def joint_lower_bound_k(ds: Sequence[Distribution | Sequence[float]]) -> float:

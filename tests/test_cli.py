@@ -316,7 +316,9 @@ def _golden_inputs(tmp_path) -> dict[str, str]:
 
 class TestGoldenBytes:
     """SHA-256 of stdout on seeded inputs, frozen from the output of
-    ``json.dumps(doc, indent=2)`` that preceded the template writer."""
+    ``json.dumps(doc, indent=2)`` that preceded the template writer. The
+    couple-k digests for k = 3, 5, 6 and 7 are those of the merge tree that
+    moves an odd node up a level instead of padding the leaves."""
 
     GOLDEN = [
         ("couple-sparse-engine-sparse-format", ["couple", "--p", "{pair}"],
@@ -330,18 +332,16 @@ class TestGoldenBytes:
         ("couple-dense-engine-dense-format",
          ["couple", "--engine", "dense", "--format", "dense", "--p", "{pair}"],
          "2d9633a7ba622e7a02dab5ece1ea8ec7eda9aa656765e9cf663878cf5cd55be3"),
-        ("couple-k-3-padded", ["couple-k", "--dists", "{k3}"],
-         "c705e76bdb770ea99785e154dbb986860b180658e61be9b3756914b0abed40a0"),
+        ("couple-k-3", ["couple-k", "--dists", "{k3}"],
+         "d5bf42f38da52a2209d5e5de147e502696f195daa4b2aea1b9b1fef2ad8723f6"),
         ("couple-k-4", ["couple-k", "--dists", "{k4}"],
          "f2874e0f8523742b7c8c3cd8df6449317dba4eefd4a6add6dc09c3d2204237cd"),
-        ("couple-k-5-padded", ["couple-k", "--dists", "{k5}"],
-         "e3604967f0d8d6208bab43a5f53bc7b661b5dc7e1d995d4dbebc2d66bc99dff2"),
-        # the root of the k = 6 tree has cells that share coordinates once
-        # its padding axes are cut off
-        ("couple-k-6-padded", ["couple-k", "--dists", "{k6}"],
-         "30d6df0264a84996cfd6424a727437372331b7b8f7ad096404b97892e450833b"),
-        ("couple-k-7-padded", ["couple-k", "--dists", "{k7}"],
-         "734f54e9284f7b318f53902f6e4ef529bced83a8ff7302d62c1d627eb9993248"),
+        ("couple-k-5", ["couple-k", "--dists", "{k5}"],
+         "a51f7719300afdb5bb3c0cf9316e5525c329b8d9e2f0cd87838be0ee1da5b0ff"),
+        ("couple-k-6", ["couple-k", "--dists", "{k6}"],
+         "7a370424a5a5b1f0d898d6f2c5271ee936b8f08bcffa4c2220015dae057a2e6e"),
+        ("couple-k-7", ["couple-k", "--dists", "{k7}"],
+         "e9a4dd33697dbd535ea61b1404a1946b5b6cda32effd3b9eb5ed0b52c9f8926d"),
         ("glb", ["glb", "--p", "{pair}"],
          "8af5bd84bb88f81b01cdcc742d41a20493cbe42fa0e221bbef55551275158949"),
         ("entropy-shannon", ["entropy", "--p", "{pair}"],
@@ -520,6 +520,40 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith("error: p: ")
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv, name, payload, message",
+        [
+            (["entropy", "--p"], "p.json", "[1" + "0" * 400 + "]",
+             "error: p: component 0 is too large for a float"),
+            (["couple-k", "--dists"], "d.json", "[[0.5, 0.5], [0.5, 1" + "0" * 400 + "]]",
+             "error: dists[1]: component 1 is too large for a float"),
+            (["entropy", "--p"], "p.json", b"[0.5, 0.5]\xff", "error: p: {path} is not UTF-8 text"),
+            (["glb", "--p", "{good}", "--q"], "q.json", b"\xfe[1.0]",
+             "error: q: {path} is not UTF-8 text"),
+            (["entropy", "--csv", "--p"], "p.csv", b"0.5,0.5\xff\n",
+             "error: p: {path} is not UTF-8 text"),
+            (["couple-k", "--csv", "--dists"], "d.csv", b"0.5,0.5\n\xc3\n",
+             "error: dists: {path} is not UTF-8 text"),
+            (["entropy", "--p"], "p.json", "[" + "1" * 5000 + "]",
+             "error: p: {path} is not valid JSON"),
+            (["entropy", "--p"], "p.json", "[" * 100_000 + "]" * 100_000,
+             "error: p: {path} nests arrays or objects too deeply"),
+        ],
+        ids=["overflowing-int", "overflowing-int-in-dists", "json-not-utf8",
+             "json-not-utf8-q", "csv-not-utf8", "csv-not-utf8-dists",
+             "integer-past-the-digit-limit", "deep-nesting"],
+    )
+    def test_undecodable_input_names_the_field(self, capsys, files, tmp_path,
+                                               argv, name, payload, message):
+        path = tmp_path / name
+        path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
+        good = files("good.json", [0.5, 0.5])
+        code = run([arg.format(good=good) for arg in argv] + [str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message.format(path=path))
 
     def test_usage_error_without_subcommand(self, capsys):
         code, _ = run_error(capsys, [])

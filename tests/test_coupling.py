@@ -446,7 +446,8 @@ def _sha256(lines) -> str:
 
 class TestBitIdentityPin:
     """Digests of engine output, float bits included, frozen from the
-    entry-per-cell implementation that preceded the columnar one."""
+    entry-per-cell implementation that preceded the columnar one; the k = 5
+    joint of random marginals is that of the merge tree without padding."""
 
     # (seed, len p, len q, zeros in p), digest for (p, q), digest for (q, p);
     # one of the two orders takes the role swap
@@ -461,7 +462,7 @@ class TestBitIdentityPin:
          "99e74c0851a557b64edb909cbd30c8a5695c46d1157bb649ca4213d3bf95ed77",
          "00da56eef2f22a7b814a1ac9977d0f90c7b61e1764b88562abff6b238d450f25"),
     ]
-    JOINT_K5 = "534d578df178736da4c2b1d962412ad338f6263bb5837e8bf860e4566d7a1601"
+    JOINT_K5 = "30aa37e68f162517ea81a0d44fe0f434295fb1be48d052c8e33d003786e5f8bd"
     JOINT_K5_TIES = "dbc18a692ad1157f8183e20b94c59ab9fbbcba2305397c23a85509464485de8f"
 
     @pytest.mark.parametrize("seed, n, m, zeros, forward, reverse", PAIRS,
