@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from .distributions import (
     INTERNAL_TOL,
     Distribution,
+    _caller_masses,
     as_distribution,
     compensated_prefix,
     make_distribution,
@@ -76,7 +77,13 @@ def glb(p: Distribution | Sequence[float], q: Distribution | Sequence[float]) ->
             carry = 0.0
         masses.append(z)
         previous = m
-    return make_distribution(masses)
+    values = _caller_masses(masses)
+    try:
+        # the differences are non-increasing up to roundoff, and a stable
+        # reverse sort of a non-increasing list is the identity
+        return Distribution(tuple(values), tuple(range(len(values))))
+    except ValueError:  # roundoff put two differences out of order
+        return make_distribution(masses)
 
 
 def glb_many(ds: Sequence[Distribution | Sequence[float]]) -> Distribution:

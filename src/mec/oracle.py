@@ -8,6 +8,14 @@ keep the solution iff it is non-negative. Enumerating every spanning tree is
 exhaustive, which is affordable only on tiny instances; the cell cap keeps
 requests honest.
 
+Spanning trees are found by a depth-first search over the edge indices
+r * m + c in increasing order. It skips an edge that closes a cycle (union-find,
+undone on backtrack) and ends a branch once too few edges remain, or once
+the last edge of a row or column has passed with that node still isolated.
+So it builds only trees, in the lexicographic order of
+``itertools.combinations`` over the edges: each deduplicated vertex keeps the
+grid of the same first tree, and each argmin stays the same.
+
 Tree enumeration (with peel schedules) is cached per (n_rows, n_cols) shape,
 so scoring many random instances of the same shape costs one enumeration.
 """
@@ -18,11 +26,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .coupling import SparseCoupling, _from_cells
 from .distributions import Distribution, as_distribution, shannon_entropy
-from .errors import TooLargeError
+from .errors import InternalError, TooLargeError
 
 CELL_CAP = 20
 _ROUND = 1e-12
@@ -64,55 +71,83 @@ def _tree_schedules(
     Nodes are rows 0..n-1 and columns n..n+m-1; each tree is returned as
     (edges, schedule) where schedule lists (node, edge_index) in elimination
     order: at each step the node has exactly one unprocessed incident edge.
+    Trees come in the lexicographic order of their edge indices r * m + c.
     """
-    all_edges = [(r, c) for r in range(n) for c in range(m)]
     node_count = n + m
+    size = node_count - 1
+    all_edges = [(r, c) for r in range(n) for c in range(m)]
+    total = len(all_edges)
+    # one shared (node, edge_index) tuple per step value keeps the cache small
+    steps = [[(v, e) for e in range(size)] for v in range(node_count)]
+    parent = list(range(node_count))  # union-find forest, undone on backtrack
+    degree = [0] * node_count
+    incident_sum = [0] * node_count  # sum of the positions of incident edges
+    picked: list[tuple[int, int]] = []
+    end_sum: list[int] = []  # row node + column node, per picked position
     out = []
-    for picked in combinations(range(len(all_edges)), node_count - 1):
-        parent = list(range(node_count))
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
 
-        acyclic = True
-        for ei in picked:
-            r, c = all_edges[ei]
-            ra, rb = find(r), find(n + c)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-        # n+m-1 acyclic edges on n+m nodes: a spanning tree; peel leaves
-        edges = tuple(all_edges[ei] for ei in picked)
-        degree = [0] * node_count
-        incident: list[list[int]] = [[] for _ in range(node_count)]
-        for idx, (r, c) in enumerate(edges):
-            for node in (r, n + c):
-                degree[node] += 1
-                incident[node].append(idx)
-        done = [False] * len(edges)
-        leaves = [v for v in range(node_count) if degree[v] == 1]
+    def peel() -> None:
+        # a live node of degree 1 has one unpeeled edge: its incident_sum
+        deg = degree[:]
+        rest = incident_sum[:]
+        leaves = [v for v in range(node_count) if deg[v] == 1]
         schedule = []
         while leaves:
             v = leaves.pop()
-            if degree[v] != 1:
+            if deg[v] != 1:
                 # the far endpoint of the final edge drops to degree 0
                 continue
-            edge_idx = next(idx for idx in incident[v] if not done[idx])
-            done[edge_idx] = True
-            schedule.append((v, edge_idx))
-            r, c = edges[edge_idx]
-            other = n + c if v == r else r
-            degree[other] -= 1
-            degree[v] -= 1
-            if degree[other] == 1:
+            e = rest[v]
+            schedule.append(steps[v][e])
+            other = end_sum[e] - v
+            deg[v] = 0
+            rest[other] -= e
+            deg[other] -= 1
+            if deg[other] == 1:
                 leaves.append(other)
-        out.append((edges, tuple(schedule)))
+        out.append((tuple(picked), tuple(schedule)))
+
+    def grow(start: int, depth: int, row_end: int) -> None:
+        # the next edge leaves enough edges after it to finish the tree, and
+        # lies no further than the row after the last picked edge's row: a
+        # row passed without an edge stays isolated
+        stop = min(row_end, total - size + depth + 1)
+        for ei in range(start, stop):
+            r, c = edge = all_edges[ei]
+            col = n + c
+            a = find(r)
+            b = find(col)
+            if a == b:
+                continue
+            parent[a] = b
+            picked.append(edge)
+            end_sum.append(r + col)
+            degree[r] += 1
+            degree[col] += 1
+            incident_sum[r] += depth
+            incident_sum[col] += depth
+            if depth + 1 == size:
+                peel()
+            else:
+                grow(ei + 1, depth + 1, (r + 2) * m)
+            incident_sum[r] -= depth
+            incident_sum[col] -= depth
+            degree[r] -= 1
+            degree[col] -= 1
+            end_sum.pop()
+            picked.pop()
+            parent[a] = a
+            if degree[col] == 0 and r == n - 1:
+                # a column's last edge is in the last row: passing it
+                # leaves the column isolated
+                break
+
+    grow(0, 0, m)
     return tuple(out)
 
 
@@ -180,6 +215,7 @@ def brute_force_min_entropy(
 
     Raises:
         TooLargeError: as :func:`enumerate_vertices`.
+        InternalError: no vertex was scored (a broken enumeration).
     """
     best_value = math.inf
     best_vertex: VertexCoupling | None = None
@@ -188,5 +224,6 @@ def brute_force_min_entropy(
         if h < best_value - 1e-15:
             best_value = h
             best_vertex = vertex
-    assert best_vertex is not None
+    if best_vertex is None:
+        raise InternalError("the coupling polytope has no scored vertex")
     return OracleResult(best_value, best_vertex)

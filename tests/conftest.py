@@ -43,6 +43,14 @@ def random_masses(rng: random.Random, n: int) -> list[float]:
     return [v / total for v in values]
 
 
+def zero_padded_masses(rng: random.Random, n: int, zeros: int) -> list[float]:
+    """``random_masses`` with ``zeros`` explicit zero components inserted."""
+    masses = random_masses(rng, n)
+    for _ in range(zeros):
+        masses.insert(rng.randrange(len(masses) + 1), 0.0)
+    return masses
+
+
 def grid64_masses(rng: random.Random, n: int) -> list[float]:
     """Random masses that are positive multiples of 1/64 summing to exactly 1.
 

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 import mec
 from mec.coupling import _CELL_DIAGNOSTICS, DENSE_CAP, MassPool, _first_bad_cell, _from_cells
-from conftest import H_WORKED_GLB, WORKED_P, WORKED_Q, grid64_masses, random_masses
+from conftest import (
+    H_WORKED_GLB,
+    WORKED_P,
+    WORKED_Q,
+    grid64_masses,
+    random_masses,
+    zero_padded_masses,
+)
 
 ENGINES = [mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse]
 ENGINE_IDS = ["dense", "sparse"]
@@ -430,13 +437,6 @@ class TestFromCells:
         assert list(zip(m.rows, m.cols)) == sorted(zip(m.rows, m.cols))
 
 
-def _pin_masses(rng: random.Random, n: int, zeros: int) -> list[float]:
-    masses = random_masses(rng, n)
-    for _ in range(zeros):
-        masses.insert(rng.randrange(len(masses) + 1), 0.0)
-    return masses
-
-
 def _sha256(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -469,8 +469,8 @@ class TestBitIdentityPin:
                              ids=[str(case[0]) for case in PAIRS])
     def test_sparse_output_is_bit_identical(self, seed, n, m, zeros, forward, reverse):
         rng = random.Random(seed)
-        p = _pin_masses(rng, n, zeros)
-        q = _pin_masses(rng, m, zeros // 2)
+        p = zero_padded_masses(rng, n, zeros)
+        q = zero_padded_masses(rng, m, zeros // 2)
         for a, b, digest in ((p, q, forward), (q, p, reverse)):
             c = mec.min_entropy_coupling_sparse(a, b)
             assert _sha256(
@@ -479,7 +479,7 @@ class TestBitIdentityPin:
 
     def test_k_way_output_is_bit_identical(self):
         rng = random.Random(5)
-        ds = [_pin_masses(rng, rng.randint(40, 300), rng.randint(0, 3)) for _ in range(5)]
+        ds = [zero_padded_masses(rng, rng.randint(40, 300), rng.randint(0, 3)) for _ in range(5)]
         joint = mec.min_entropy_joint_k(ds)
         assert len(joint.entries) == 1067
         assert _sha256(f"{e.value.hex()} {e.coords}" for e in joint.entries) == self.JOINT_K5
@@ -491,6 +491,28 @@ class TestBitIdentityPin:
         joint = mec.min_entropy_joint_k(ds)
         assert len(joint.entries) == 25
         assert _sha256(f"{e.value.hex()} {e.coords}" for e in joint.entries) == self.JOINT_K5_TIES
+
+
+class TestOracleBitIdentityPin:
+    """Digest of the oracle's optimum and argmin grid, float bits included,
+    frozen from the enumerator that filtered every edge subset; a change of
+    tree order shows here as a different first argmin among ties."""
+
+    # the certify-small benchmark shapes
+    SHAPES = [(4, 5), (5, 4), (2, 10), (10, 2), (4, 4), (3, 5),
+              (5, 3), (3, 4), (4, 3), (2, 6), (6, 2), (3, 3)]
+    DIGEST = "e2270cae900025e95d0319cfe75741dc93391d25813cf69135971c727b437dd8"
+
+    def test_oracle_is_bit_identical(self):
+        rng = random.Random(20)
+        lines = []
+        for n, m in self.SHAPES:
+            # random masses, then dyadic ones whose ties give degenerate vertices
+            for masses in (random_masses, grid64_masses):
+                res = mec.brute_force_min_entropy(masses(rng, n), masses(rng, m))
+                grid = [v.hex() for row in res.argmin.grid for v in row]
+                lines.append(" ".join([res.opt_value.hex(), *grid]))
+        assert _sha256(lines) == self.DIGEST
 
 
 class TestIsValidCoupling:

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mec
+from mec.distributions import compensated_prefix
 from conftest import (
     H_WORKED_GLB,
     WORKED_GLB,
     WORKED_P,
     WORKED_Q,
     random_masses,
+    zero_padded_masses,
 )
 
 
@@ -66,7 +68,58 @@ class TestMajorizes:
         assert mec.majorizes(da, db) == expected
 
 
+def reference_glb(a, b) -> mec.Distribution:
+    """glb as it was before it skipped the sort: the clamped prefix-minimum
+    differences passed through make_distribution."""
+    da = mec.as_distribution(a)
+    db = mec.as_distribution(b)
+    n = max(da.n, db.n)
+    masses, previous, carry = [], 0.0, 0.0
+    for x, y in zip(compensated_prefix(da.padded(n).masses),
+                    compensated_prefix(db.padded(n).masses)):
+        m = x if x <= y else y
+        z = m - previous + carry
+        if z < 0.0:
+            carry, z = z, 0.0
+        else:
+            carry = 0.0
+        masses.append(z)
+        previous = m
+    return mec.make_distribution(masses)
+
+
+def near_uniform(rng: random.Random, n: int) -> list[float]:
+    """Masses a few ulps apart, so glb's differences can come out unsorted."""
+    nudges = (0.0, 0.0, 1e-15, -1e-15, 1e-13, 2.0**-50)
+    values = [1.0 + rng.choice(nudges) for _ in range(n)]
+    total = sum(values)
+    return [v / total for v in values]
+
+
+def zero_padded(rng: random.Random, n: int) -> list[float]:
+    return zero_padded_masses(rng, n, rng.randint(1, 3))
+
+
 class TestGlb:
+    @pytest.mark.parametrize("make", [random_masses, near_uniform, zero_padded],
+                             ids=["random", "ties", "zero-padded"])
+    def test_equals_the_sorted_construction(self, make):
+        rng = random.Random(181)
+        unsorted = 0
+        for _ in range(300):
+            a = make(rng, rng.randint(1, 12))
+            b = make(rng, rng.randint(1, 12))
+            z = mec.glb(a, b)
+            assert z == reference_glb(a, b)
+            if z.perm == tuple(range(z.n)):
+                assert z == mec.make_distribution(list(z.masses))
+            else:
+                unsorted += 1
+        if make is near_uniform:
+            # roundoff left some differences out of order: the sorting
+            # fallback ran and matched too
+            assert unsorted > 0
+
     def test_worked_pair_golden(self):
         z = mec.glb(WORKED_P, WORKED_Q)
         assert z.n == 6

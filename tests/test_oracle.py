@@ -4,11 +4,95 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 import mec
+from mec.oracle import CELL_CAP, _tree_schedules
 from conftest import grid64_masses, random_masses
+
+
+def reference_tree_schedules(n: int, m: int):
+    """The exhaustive enumerator the pruned search replaced: every
+    (n + m - 1)-subset of the n * m edges, in combinations order, filtered
+    by union-find, then peeled."""
+    all_edges = [(r, c) for r in range(n) for c in range(m)]
+    node_count = n + m
+    out = []
+    for picked in combinations(range(len(all_edges)), node_count - 1):
+        parent = list(range(node_count))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        acyclic = True
+        for ei in picked:
+            r, c = all_edges[ei]
+            ra, rb = find(r), find(n + c)
+            if ra == rb:
+                acyclic = False
+                break
+            parent[ra] = rb
+        if not acyclic:
+            continue
+        edges = tuple(all_edges[ei] for ei in picked)
+        degree = [0] * node_count
+        incident: list[list[int]] = [[] for _ in range(node_count)]
+        for idx, (r, c) in enumerate(edges):
+            for node in (r, n + c):
+                degree[node] += 1
+                incident[node].append(idx)
+        done = [False] * len(edges)
+        leaves = [v for v in range(node_count) if degree[v] == 1]
+        schedule = []
+        while leaves:
+            v = leaves.pop()
+            if degree[v] != 1:
+                continue
+            edge_idx = next(idx for idx in incident[v] if not done[idx])
+            done[edge_idx] = True
+            schedule.append((v, edge_idx))
+            r, c = edges[edge_idx]
+            other = n + c if v == r else r
+            degree[other] -= 1
+            degree[v] -= 1
+            if degree[other] == 1:
+                leaves.append(other)
+        out.append((edges, tuple(schedule)))
+    return tuple(out)
+
+
+def shapes(cap: int) -> list[tuple[int, int]]:
+    return [(n, m) for n in range(1, cap + 1) for m in range(1, cap // n + 1)]
+
+
+class TestTreeSchedules:
+    def test_equals_the_exhaustive_enumerator(self):
+        for n, m in shapes(16):
+            assert _tree_schedules(n, m) == reference_tree_schedules(n, m), (n, m)
+
+    def test_counts_every_spanning_tree(self):
+        # Scoins: K_{n,m} has n^(m-1) * m^(n-1) spanning trees
+        for n, m in shapes(CELL_CAP):
+            assert len(_tree_schedules(n, m)) == n ** (m - 1) * m ** (n - 1), (n, m)
+
+    def test_schedules_peel_each_tree_leaf_by_leaf(self):
+        for n, m in shapes(CELL_CAP):
+            for edges, schedule in _tree_schedules(n, m):
+                assert len(set(edges)) == len(edges) == n + m - 1
+                assert sorted(e for _, e in schedule) == list(range(len(edges)))
+                peeled: set[int] = set()
+                for node, e in schedule:
+                    live = [
+                        i for i, (r, c) in enumerate(edges)
+                        if i not in peeled and node in (r, n + c)
+                    ]
+                    assert live == [e], (n, m, edges, schedule)
+                    peeled.add(e)
 
 
 class TestEnumerateVertices:
@@ -116,3 +200,9 @@ class TestBruteForceMinEntropy:
     def test_cell_cap_propagates(self):
         with pytest.raises(mec.TooLargeError):
             mec.brute_force_min_entropy([0.2] * 5, [0.2] * 5)
+
+    def test_no_vertex_is_an_internal_error(self, monkeypatch):
+        # an invariant failure, raised even where python -O strips asserts
+        monkeypatch.setattr(mec.oracle, "enumerate_vertices", lambda p, q: [])
+        with pytest.raises(mec.InternalError):
+            mec.brute_force_min_entropy([0.5, 0.5], [1.0])
