@@ -565,6 +565,92 @@ class TestInputValidation:
         assert "glb" in out and "couple" in out
 
 
+_ENTROPY_1_BIT = '{\n  "entropy_bits": 1.0,\n  "alpha": null\n}\n'
+
+
+class TestInputPaths:
+    """Where each marginal comes from, and the exact bytes each path prints.
+
+    ``{dir}`` in argv, stderr and stdout stands for the directory the files
+    are written to, byte for byte as given.
+    """
+
+    CASES = [
+        ("missing-p", ["glb", "--q", "{dir}/q.json"], {"q.json": "[1.0]"},
+         2, "error: p: missing --p FILE\n", ""),
+        ("missing-p-entropy", ["entropy"], {}, 2, "error: p: missing --p FILE\n", ""),
+        ("missing-dists", ["couple-k"], {}, 2, "error: dists: missing --dists FILE\n", ""),
+        ("json-object-without-p", ["entropy", "--p", "{dir}/p.json"],
+         {"p.json": '{"q": [1.0]}'}, 2, 'error: p: {dir}/p.json has no "p" key\n', ""),
+        ("json-object-without-q", ["glb", "--p", "{dir}/p.json", "--q", "{dir}/q.json"],
+         {"p.json": "[1.0]", "q.json": '{"p": [1.0]}'},
+         2, 'error: q: {dir}/q.json has no "q" key\n', ""),
+        ("json-object-without-dists", ["couple-k", "--dists", "{dir}/d.json"],
+         {"d.json": '{"p": [[1.0], [1.0]]}'},
+         2, 'error: dists: {dir}/d.json has no "dists" key\n', ""),
+        ("json-without-q-anywhere", ["metric", "--p", "{dir}/p.json"],
+         {"p.json": '{"p": [1.0]}'},
+         2, 'error: q: missing --q FILE (or a "q" key in the --p document)\n', ""),
+        # the --q file wins over a valid second row of the --p file
+        ("csv-q-file-overrides-second-row",
+         ["glb", "--csv", "--p", "{dir}/p.csv", "--q", "{dir}/q.csv"],
+         {"p.csv": "0.5,0.5\n0.5,0.5\n", "q.csv": "0.6,0.3\n"},
+         2, "error: q: masses sum to 0.8999999999999999, expected 1 within 1e-09\n", ""),
+        ("csv-crlf-lines", ["glb", "--csv", "--p", "{dir}/p.csv"],
+         {"p.csv": "0.5,0.5\r\n\r\n0.6,0.3\r\n"},
+         2, "error: q: masses sum to 0.8999999999999999, expected 1 within 1e-09\n", ""),
+        ("csv-crlf-dists", ["couple-k", "--csv", "--dists", "{dir}/d.csv"],
+         {"d.csv": "0.5,0.5\r\n1.0\r\n0.5,x\r\n"},
+         2, "error: dists: {dir}/d.csv has a non-numeric token: "
+            "could not convert string to float: 'x'\n", ""),
+        # entropy reads p only: a malformed or missing q is never looked at
+        ("entropy-ignores-a-malformed-q", ["entropy", "--p", "{dir}/p.json"],
+         {"p.json": '{"p": [0.5, 0.5], "q": "junk"}'}, 0, "", _ENTROPY_1_BIT),
+        ("entropy-ignores-a-csv-second-row", ["entropy", "--csv", "--p", "{dir}/p.csv"],
+         {"p.csv": "0.5,0.5\r\n0.6,0.3\r\n"}, 0, "", _ENTROPY_1_BIT),
+    ]
+
+    @pytest.mark.parametrize("argv, files, code, stderr, stdout",
+                             [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+    def test_exit_code_and_exact_output(self, capsys, tmp_path, argv, files, code,
+                                        stderr, stdout):
+        for name, text in files.items():
+            # bytes, so a "\r\n" reaches the file as written on every platform
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        def at(text: str) -> str:
+            return text.replace("{dir}", str(tmp_path))
+
+        got = run(list(map(at, argv)))
+        out, err = capsys.readouterr()
+        assert (got, err, out) == (code, at(stderr), at(stdout))
+
+
+class TestHelpBytes:
+    """SHA-256 of each ``--help`` page at 80 columns, frozen from the parser
+    that predates reading flags straight from argparse's namespace."""
+
+    HELP = [
+        ([], "6382f92b5cb2414f9cada8595da785aefab430b28daad32c5ee06fb6fbaa0072"),
+        (["glb"], "cef10905f660456448579271edaf7166fd8dad211f633e977a2bd01cfbeb9527"),
+        (["couple"], "ec8564675dd355cc62cbec4ec2e2c6bcdd9538322010fcc0e979fc80eb40ecc7"),
+        (["couple-k"], "42362e1e4ba4158ca81ffc7629b43e28c01f669ee9f57c8d92b58d28e5c12300"),
+        (["entropy"], "1b425fc0083feb3cd536c4fdc65632324e7781164f6f898319d76c4b3cde348c"),
+        (["bounds"], "8adec0ea0d4d253a04a0512a901c42e00749adb542c621c86f839e5da9105165"),
+        (["metric"], "777fa184bfed95cc8382ccd44b84358ab70d0beabc3f3a5eead081a16598b2bf"),
+        (["oracle-check"], "4941f674bb4cc25c036a716d32fbae323c3552a22194517657f6c10b1b4c386f"),
+    ]
+
+    @pytest.mark.parametrize("sub, digest", HELP, ids=["mec"] + [h[0][0] for h in HELP[1:]])
+    def test_help_is_byte_identical(self, capsys, monkeypatch, sub, digest):
+        # argparse wraps at the terminal width, which COLUMNS sets
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert run(sub + ["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
 class TestFlags:
     def test_renormalize_rescales(self, capsys, files):
         path = files("p.json", [2.0, 2.0])
