@@ -2,11 +2,15 @@
 
 Inputs are JSON (a bare array, or an object with "p" / "q" / "dists" keys;
 one document may carry both marginals) or CSV with one distribution per line
-when --csv is given. Every run is deterministic: the same inputs and flags
-produce byte-identical output, and floats are serialized so they re-read
-bit-for-bit. Every document is exactly ``json.dumps(doc, indent=2)`` plus a
-newline; entry lists are rendered straight from the coupling's or joint's
-columns, one fixed template per entry, to the same bytes.
+when --csv is given. q comes from --q, else from the --p file's second row
+or "q" key; `entropy` reads p only. Each subcommand reads its flags straight
+off argparse's namespace, so a new flag is one parser line.
+
+Every run is deterministic: the same inputs and flags produce byte-identical
+output, and floats are serialized so they re-read bit-for-bit. Every
+document is exactly ``json.dumps(doc, indent=2)`` plus a newline; entry
+lists are rendered straight from the coupling's or joint's columns, one
+fixed template per entry, to the same bytes.
 
 Exit codes: 0 success; 2 input or usage problem (diagnostic names the
 offending field); 3 violated internal invariant.
@@ -20,7 +24,6 @@ import math
 import operator
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .coupling import (
     SparseCoupling,
@@ -45,6 +48,9 @@ _ENGINES = {
     "dense": min_entropy_coupling_dense,
     "sparse": min_entropy_coupling_sparse,
 }
+
+# a pairwise coupling's entropy is within 1 bit of the glb's
+_PAIR_GAP_BITS = 1.0
 
 # one entry of a top-level entry list, laid out as json.dumps(doc, indent=2)
 # lays it out: %d prints an int as json does, and %r is float.__repr__, which
@@ -85,23 +91,6 @@ def _document(doc: dict) -> str:
             pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
     pieces.append("\n}\n")
     return "".join(pieces)
-
-
-@dataclass(frozen=True, slots=True)
-class JobSpec:
-    """One fully-parsed CLI invocation."""
-
-    subcommand: str
-    p_path: str | None
-    q_path: str | None
-    dists_path: str | None
-    alpha: float | None
-    engine: str
-    output_format: str
-    csv: bool
-    renormalize: bool
-    tol: float
-    out_path: str | None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,22 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_from_args(ns: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        subcommand=ns.subcommand,
-        p_path=getattr(ns, "p", None),
-        q_path=getattr(ns, "q", None),
-        dists_path=getattr(ns, "dists", None),
-        alpha=getattr(ns, "alpha", None),
-        engine=getattr(ns, "engine", "sparse"),
-        output_format=getattr(ns, "output_format", "sparse"),
-        csv=ns.csv,
-        renormalize=ns.renormalize,
-        tol=ns.tol,
-        out_path=ns.out,
-    )
-
-
 def _vector(obj: object, field: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{field}: expected a non-empty array of numbers")
@@ -184,14 +157,21 @@ def _vector(obj: object, field: str) -> list[float]:
     return values
 
 
-def _json_doc(path: str, field: str) -> object:
+def _read(path: str, field: str) -> str:
+    # text mode turns "\r\n" and a lone "\r" into "\n"
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"{field}: cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{field}: {path} is not UTF-8 text: {exc}") from exc
+
+
+def _json_doc(path: str, field: str) -> object:
+    text = _read(path, field)
+    try:
+        return json.loads(text)
     except ValueError as exc:
         # malformed JSON, or an integer past the interpreter's digit limit
         raise InputError(f"{field}: {path} is not valid JSON: {exc}") from exc
@@ -200,15 +180,8 @@ def _json_doc(path: str, field: str) -> object:
 
 
 def _csv_rows(path: str, field: str) -> list[list[float]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-    except OSError as exc:
-        raise InputError(f"{field}: cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{field}: {path} is not UTF-8 text: {exc}") from exc
     rows = []
-    for line in lines:
+    for line in map(str.strip, _read(path, field).split("\n")):
         if not line:
             continue
         try:
@@ -220,66 +193,62 @@ def _csv_rows(path: str, field: str) -> list[list[float]]:
     return rows
 
 
-def _pick(doc: object, key: str, path: str) -> list[float]:
-    if isinstance(doc, dict):
-        if key not in doc:
-            raise InputError(f'{key}: {path} has no "{key}" key')
-        return _vector(doc[key], key)
-    return _vector(doc, key)
+def _pick(doc: object, key: str, path: str) -> object:
+    """``doc[key]`` of a JSON object; any other document is its own value."""
+    if not isinstance(doc, dict):
+        return doc
+    if key not in doc:
+        raise InputError(f'{key}: {path} has no "{key}" key')
+    return doc[key]
 
 
-def _load_marginals(job: JobSpec, need_q: bool) -> tuple[list[float], list[float] | None]:
-    if job.p_path is None:
+def _load_marginals(ns: argparse.Namespace, need_q: bool) -> tuple[list[float], list[float] | None]:
+    """Raw p, and q if ``need_q``: from --q, else from the --p file's second
+    row (CSV) or "q" key (JSON). Without ``need_q`` nothing of q is read."""
+    if ns.p is None:
         raise InputError("p: missing --p FILE")
-    if job.csv:
-        rows = _csv_rows(job.p_path, "p")
-        p = rows[0]
-        if job.q_path is not None:
-            q = _csv_rows(job.q_path, "q")[0]
-        elif need_q:
-            if len(rows) < 2:
-                raise InputError("q: missing --q FILE (or a second row in the --p file)")
-            q = rows[1]
-        else:
-            q = None
-        return p, q
-    doc = _json_doc(job.p_path, "p")
-    p = _pick(doc, "p", job.p_path) if isinstance(doc, dict) else _vector(doc, "p")
-    if job.q_path is not None:
-        q = _pick(_json_doc(job.q_path, "q"), "q", job.q_path)
-    elif need_q:
-        if isinstance(doc, dict) and "q" in doc:
-            q = _vector(doc["q"], "q")
-        else:
-            raise InputError('q: missing --q FILE (or a "q" key in the --p document)')
+    if ns.csv:
+        rows = _csv_rows(ns.p, "p")
+        p, inline, where = rows[0], rows[1:2], "a second row in the --p file"
     else:
-        q = None
-    return p, q
+        doc = _json_doc(ns.p, "p")
+        p, where = _vector(_pick(doc, "p", ns.p), "p"), 'a "q" key in the --p document'
+        inline = [doc["q"]] if isinstance(doc, dict) and "q" in doc else []
+    if not need_q:
+        return p, None
+    if ns.q is not None:
+        q = _csv_rows(ns.q, "q")[0] if ns.csv else _pick(_json_doc(ns.q, "q"), "q", ns.q)
+    elif inline:
+        q = inline[0]
+    else:
+        raise InputError(f"q: missing --q FILE (or {where})")
+    return p, _vector(q, "q")
 
 
-def _load_dists(job: JobSpec) -> list[list[float]]:
-    if job.dists_path is None:
+def _load_dists(ns: argparse.Namespace) -> list[list[float]]:
+    if ns.dists is None:
         raise InputError("dists: missing --dists FILE")
-    if job.csv:
-        return _csv_rows(job.dists_path, "dists")
-    doc = _json_doc(job.dists_path, "dists")
-    if isinstance(doc, dict):
-        if "dists" not in doc:
-            raise InputError(f'dists: {job.dists_path} has no "dists" key')
-        doc = doc["dists"]
+    if ns.csv:
+        return _csv_rows(ns.dists, "dists")
+    doc = _pick(_json_doc(ns.dists, "dists"), "dists", ns.dists)
     if not isinstance(doc, list) or not doc:
         raise InputError("dists: expected a non-empty array of arrays")
     return [_vector(row, f"dists[{i}]") for i, row in enumerate(doc)]
 
 
-def _dist(raw: list[float], field: str, job: JobSpec) -> Distribution:
+def _dist(raw: list[float], field: str, ns: argparse.Namespace) -> Distribution:
     try:
-        return make_distribution(raw, renormalize=job.renormalize, tol=job.tol)
+        return make_distribution(raw, renormalize=ns.renormalize, tol=ns.tol)
     except InputError as exc:
         raise InputError(f"{field}: {exc}") from exc
 
 
-def _coupling_doc(m: SparseCoupling, h_glb: float, gap_bits: float, dense: bool) -> dict:
+def _pair(ns: argparse.Namespace) -> tuple[Distribution, Distribution]:
+    p, q = _load_marginals(ns, need_q=True)
+    return _dist(p, "p", ns), _dist(q, "q", ns)
+
+
+def _coupling_doc(m: SparseCoupling, h_glb: float, dense: bool) -> dict:
     h = shannon_entropy(m.values())
     doc: dict = {"n_rows": m.n_rows, "n_cols": m.n_cols}
     if dense:
@@ -291,29 +260,27 @@ def _coupling_doc(m: SparseCoupling, h_glb: float, gap_bits: float, dense: bool)
         doc["entries"] = _Entries(_PAIR_ENTRY, zip(m.rows, m.cols, m.values()))
     doc["entropy_bits"] = h
     doc["glb_entropy_bits"] = h_glb
-    doc["gap_bound_bits"] = h_glb + gap_bits
+    doc["gap_bound_bits"] = h_glb + _PAIR_GAP_BITS
     return doc
 
 
-def _execute(job: JobSpec) -> dict:
+def _execute(ns: argparse.Namespace) -> dict:
     # NaN-safe: a NaN tol fails the comparison
-    if not 0.0 <= job.tol < math.inf:
-        raise InputError(f"tol: must be finite and non-negative, got {job.tol!r}")
-    if job.subcommand == "glb":
-        p, q = _load_marginals(job, need_q=True)
-        z = glb(_dist(p, "p", job), _dist(q, "q", job))
+    if not 0.0 <= ns.tol < math.inf:
+        raise InputError(f"tol: must be finite and non-negative, got {ns.tol!r}")
+    if ns.subcommand == "glb":
+        z = glb(*_pair(ns))
         return {"glb": list(z.masses), "entropy_bits": shannon_entropy(z.masses)}
 
-    if job.subcommand == "couple":
-        p, q = _load_marginals(job, need_q=True)
-        dp, dq = _dist(p, "p", job), _dist(q, "q", job)
-        m = _ENGINES[job.engine](dp, dq)
+    if ns.subcommand == "couple":
+        dp, dq = _pair(ns)
+        m = _ENGINES[ns.engine](dp, dq)
         h_glb = shannon_entropy(glb(dp, dq).masses)
-        return _coupling_doc(m, h_glb, 1.0, dense=job.output_format == "dense")
+        return _coupling_doc(m, h_glb, dense=ns.output_format == "dense")
 
-    if job.subcommand == "couple-k":
-        rows = _load_dists(job)
-        ds = [_dist(row, f"dists[{i}]", job) for i, row in enumerate(rows)]
+    if ns.subcommand == "couple-k":
+        rows = _load_dists(ns)
+        ds = [_dist(row, f"dists[{i}]", ns) for i, row in enumerate(rows)]
         joint = min_entropy_joint_k(ds)
         values = joint.values()
         bounds = frl_bounds(ds)
@@ -326,20 +293,18 @@ def _execute(job: JobSpec) -> dict:
             "gap_bound_bits": bounds.upper,
         }
 
-    if job.subcommand == "entropy":
-        p, _ = _load_marginals(job, need_q=False)
-        dp = _dist(p, "p", job)
-        if job.alpha is None:
+    if ns.subcommand == "entropy":
+        dp = _dist(_load_marginals(ns, need_q=False)[0], "p", ns)
+        if ns.alpha is None:
             return {"entropy_bits": shannon_entropy(dp.masses), "alpha": None}
         try:
-            value = renyi_entropy(dp.masses, job.alpha)
+            value = renyi_entropy(dp.masses, ns.alpha)
         except InputError as exc:
             raise InputError(f"alpha: {exc}") from exc
-        return {"entropy_bits": value, "alpha": job.alpha}
+        return {"entropy_bits": value, "alpha": ns.alpha}
 
-    if job.subcommand == "bounds":
-        p, q = _load_marginals(job, need_q=True)
-        r = bounds_report(_dist(p, "p", job), _dist(q, "q", job))
+    if ns.subcommand == "bounds":
+        r = bounds_report(*_pair(ns))
         return {
             "H_p": r.h_p,
             "H_q": r.h_q,
@@ -350,24 +315,22 @@ def _execute(job: JobSpec) -> dict:
             "cond_lower_y_given_x": r.cond_lower_y_given_x,
         }
 
-    if job.subcommand == "metric":
-        p, q = _load_marginals(job, need_q=True)
-        est = metric_estimate(_dist(p, "p", job), _dist(q, "q", job))
+    if ns.subcommand == "metric":
+        est = metric_estimate(*_pair(ns))
         return {"d_hat": est.d_hat, "lower": est.lower, "upper": est.upper}
 
-    if job.subcommand == "oracle-check":
-        p, q = _load_marginals(job, need_q=True)
-        dp, dq = _dist(p, "p", job), _dist(q, "q", job)
+    if ns.subcommand == "oracle-check":
+        dp, dq = _pair(ns)
         # the oracle's cell cap rejects oversized input before any coupling work
         opt = brute_force_min_entropy(dp, dq)
-        m = _ENGINES[job.engine](dp, dq)
-        ok, why = is_valid_coupling(m, dp, dq, tol=job.tol)
+        m = _ENGINES[ns.engine](dp, dq)
+        ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")
         alg = shannon_entropy(m.values())
         return {"opt": opt.opt_value, "alg": alg, "gap": alg - opt.opt_value}
 
-    raise InputError(f"unknown subcommand {job.subcommand!r}")
+    raise InputError(f"unknown subcommand {ns.subcommand!r}")
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -377,9 +340,8 @@ def run(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    job = _job_from_args(ns)
     try:
-        doc = _execute(job)
+        doc = _execute(ns)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -387,12 +349,12 @@ def run(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     text = _document(doc)
-    if job.out_path:
+    if ns.out:
         try:
-            with open(job.out_path, "w", encoding="utf-8") as fh:
+            with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: out: cannot write {job.out_path}: {exc}", file=sys.stderr)
+            print(f"error: out: cannot write {ns.out}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -32,7 +32,7 @@ from .distributions import (
     INTERNAL_TOL,
     NORMALIZATION_TOL,
     Distribution,
-    _caller_masses,
+    _caller_order,
     as_distribution,
 )
 from .errors import InfeasibleSplitError, InternalError, TooLargeError
@@ -481,10 +481,6 @@ _CELL_DIAGNOSTICS = {
 }
 
 
-def _caller_order(d: Distribution | list[float]) -> Sequence[float]:
-    return d.to_caller_order() if isinstance(d, Distribution) else d
-
-
 def _lines_pass(index, values, n: int, target, tol: float) -> bool:
     """True if every line's exact sum is within ``tol`` of its target.
 
@@ -529,25 +525,25 @@ def is_valid_coupling(
 
     Returns (True, "ok") or (False, diagnostic); the diagnostic names the
     first violated row or column in index order. Raw marginals get the checks
-    of :func:`make_distribution`, with its exceptions, p before q.
+    of :func:`make_distribution`, with its exceptions, p before q; their sum
+    is checked at ``max(NORMALIZATION_TOL, tol)``, so a wider ``tol`` gets a
+    verdict on marginals off by more than the default (a NaN ``tol`` keeps
+    the default).
     """
-    # raw marginals are validated in the caller's order: no sort to undo
-    tp = p if isinstance(p, Distribution) else _caller_masses(p)
-    tq = q if isinstance(q, Distribution) else _caller_masses(q)
-    n_p = tp.n if isinstance(tp, Distribution) else len(tp)
-    n_q = tq.n if isinstance(tq, Distribution) else len(tq)
-    if m.n_rows != n_p:
-        return False, f"n_rows is {m.n_rows}, first marginal has {n_p} components"
-    if m.n_cols != n_q:
-        return False, f"n_cols is {m.n_cols}, second marginal has {n_q} components"
+    raw_tol = max(NORMALIZATION_TOL, tol)
+    tp, tq = _caller_order(p, raw_tol), _caller_order(q, raw_tol)
+    if m.n_rows != len(tp):
+        return False, f"n_rows is {m.n_rows}, first marginal has {len(tp)} components"
+    if m.n_cols != len(tq):
+        return False, f"n_cols is {m.n_cols}, second marginal has {len(tq)} components"
     rows, cols, values = m.rows, m.cols, m.values()
     bad = _first_bad_cell(m.n_rows, m.n_cols, rows, cols, values)
     if bad is not None:
         kind, row, col, value = bad
         return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
     for name, index, n, target in (
-        ("row", rows, m.n_rows, _caller_order(tp)),
-        ("column", cols, m.n_cols, _caller_order(tq)),
+        ("row", rows, m.n_rows, tp),
+        ("column", cols, m.n_cols, tq),
     ):
         # a cheap plain-float pass clears the usual case; only a line it
         # cannot clear sends its side to the exact fsum per line

@@ -172,6 +172,13 @@ def as_distribution(d: Distribution | Sequence[float], tol: float = NORMALIZATIO
     return make_distribution(d, tol=tol)
 
 
+def _caller_order(d: Distribution | Sequence[float], tol: float = NORMALIZATION_TOL) -> Sequence[float]:
+    """Masses in the caller's index order: a :class:`Distribution` undoes its
+    sort; raw masses get the checks of :func:`make_distribution`, at ``tol``,
+    and are never sorted."""
+    return d.to_caller_order() if isinstance(d, Distribution) else _caller_masses(d, tol=tol)
+
+
 def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
     # shared validation for the entropy functionals; subnormalized input
     # is allowed, negative roundoff is clamped like make_distribution does
@@ -264,8 +271,7 @@ def aggregate(
         BadPartitionError: cells overlap, leave indices uncovered, or refer
             to indices outside ``range(n)``.
     """
-    dist = as_distribution(d)
-    values = dist.to_caller_order()
+    values = _caller_order(d)
     n = len(values)
     seen: set[int] = set()
     sums: list[float] = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coupling import SparseCoupling, _from_cells
-from .distributions import Distribution, as_distribution, shannon_entropy
+from .distributions import Distribution, _caller_order, shannon_entropy
 from .errors import InternalError, TooLargeError
 
 CELL_CAP = 20
@@ -165,13 +165,11 @@ def enumerate_vertices(
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    dp = as_distribution(p)
-    dq = as_distribution(q)
-    n, m = dp.n, dq.n
+    pvec = _caller_order(p)
+    qvec = _caller_order(q)
+    n, m = len(pvec), len(qvec)
     if n * m > CELL_CAP:
         raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
-    pvec = dp.to_caller_order()
-    qvec = dq.to_caller_order()
     found: dict[tuple, VertexCoupling] = {}
     for edges, schedule in _tree_schedules(n, m):
         residual = list(pvec) + list(qvec)

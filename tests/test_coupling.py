@@ -10,6 +10,7 @@ import math
 import operator
 import pickle
 import random
+import re
 from itertools import repeat
 
 import pytest
@@ -557,6 +558,25 @@ class TestIsValidCoupling:
         ok, _ = mec.is_valid_coupling(m, (0.6, 0.4), (0.6003, 0.3997), tol=1e-3)
         assert ok
 
+    @pytest.mark.parametrize(
+        "cells, tol, outcome",
+        [
+            ((0.6, 0.4), 1e-3, (True, "ok")),
+            ((0.5, 0.5), 1e-3, (False, "row 0 sums to 0.5, expected 0.6003")),
+            ((0.6, 0.4), 1e-4, "masses sum to 1.0003, expected 1 within 0.0001"),
+            ((0.6, 0.4), math.nan, "masses sum to 1.0003, expected 1 within 1e-09"),
+        ],
+    )
+    def test_tol_widens_the_check_of_raw_marginals(self, cells, tol, outcome):
+        # raw marginals are checked at max(NORMALIZATION_TOL, tol): a caller
+        # who widens tol gets a verdict on marginals off by more than 1e-9
+        m = self.diag(cells)
+        if isinstance(outcome, str):
+            with pytest.raises(mec.NotNormalizedError, match=re.escape(outcome)):
+                mec.is_valid_coupling(m, [0.6003, 0.4], [0.6003, 0.4], tol=tol)
+        else:
+            assert mec.is_valid_coupling(m, [0.6003, 0.4], [0.6003, 0.4], tol=tol) == outcome
+
     def test_rejects_a_nan_cell_or_target(self):
         # the constructors reject a NaN cell, so plant one in a built coupling
         m = self.diag((0.5, 0.5))
@@ -571,10 +591,12 @@ class TestIsValidCoupling:
 
 def reference_is_valid_coupling(m, p, q, tol=mec.NORMALIZATION_TOL):
     """``is_valid_coupling`` as it stood before the plain-sum screen: both
-    marginals through ``as_distribution`` and back to caller order, and one
+    marginals through ``as_distribution`` (raw ones checked at
+    ``max(NORMALIZATION_TOL, tol)``) and back to caller order, and one
     ``fsum`` per line."""
-    dp = mec.as_distribution(p)
-    dq = mec.as_distribution(q)
+    raw_tol = max(mec.NORMALIZATION_TOL, tol)
+    dp = mec.as_distribution(p, raw_tol)
+    dq = mec.as_distribution(q, raw_tol)
     if m.n_rows != dp.n:
         return False, f"n_rows is {m.n_rows}, first marginal has {dp.n} components"
     if m.n_cols != dq.n:
