@@ -26,6 +26,7 @@ import sys
 from collections.abc import Iterable
 
 from .coupling import (
+    DENSE_CAP,
     SparseCoupling,
     is_valid_coupling,
     min_entropy_coupling_dense,
@@ -274,6 +275,13 @@ def _execute(ns: argparse.Namespace) -> dict:
 
     if ns.subcommand == "couple":
         dp, dq = _pair(ns)
+        # a dense document holds n_rows x n_cols numbers: cap it before any
+        # engine runs
+        if ns.output_format == "dense" and max(dp.n, dq.n) > DENSE_CAP:
+            raise InputError(
+                f"format: --format dense is capped at {DENSE_CAP} components per side, "
+                f"got {dp.n} x {dq.n}; use --format sparse"
+            )
         m = _ENGINES[ns.engine](dp, dq)
         h_glb = shannon_entropy(glb(dp, dq).masses)
         return _coupling_doc(m, h_glb, dense=ns.output_format == "dense")

@@ -17,6 +17,11 @@ overall. Both resolve every row/column overflow through the one greedy split,
 Both engines report coordinates in the caller's original index order for each
 marginal, regardless of the internal sorting and of the role swap applied
 when the marginals compare the wrong way at their last differing component.
+They record the cells as three flat columns (value, row, column) in sorted
+working positions and share one output step: it undoes the swap, maps the
+index columns through the sort permutations, and orders the cells by the
+integer key row * n + col, where n is the padded working length. Every index
+is below n, so that order is the (row, col) order.
 """
 
 from __future__ import annotations
@@ -198,20 +203,22 @@ class MassPool:
     def total(self) -> float:
         return self._sum + self._err
 
-    def _accumulate(self, x: float) -> None:
-        t = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._err += (self._sum - t) + x
-        else:
-            self._err += (x - t) + self._sum
-        self._sum = t
+    # push and split keep the total by Neumaier's compensated summation, on
+    # locals written back before they return or raise; every queued mass is
+    # positive, so abs(mass) is mass itself
 
     def push(self, mass: float, origin: int) -> None:
         # NaN-safe: a NaN mass is not positive
         if not mass > 0.0:
             raise ValueError(f"pool masses must be positive, got {mass!r}")
         heapq.heappush(self._heap, (mass, origin))
-        self._accumulate(mass)
+        s = self._sum
+        t = s + mass
+        if abs(s) >= mass:
+            self._err += (s - t) + mass
+        else:
+            self._err += (mass - t) + s
+        self._sum = t
 
     def split(self, z: float, x: float) -> tuple[float, list[tuple[float, int]]]:
         """Split mass ``z`` so that the smallest queued records plus ``z_d`` hit ``x``.
@@ -226,17 +233,27 @@ class MassPool:
                 exceeds ``z`` plus the queued total (both checked with 1e-12
                 slack).
         """
-        if x > z + self.total + INTERNAL_TOL:
+        heap, s, err = self._heap, self._sum, self._err
+        if x > z + (s + err) + INTERNAL_TOL:
             raise InfeasibleSplitError(f"target {x!r} exceeds z plus queued total")
         taken: list[tuple[float, int]] = []
         acc = 0.0
-        while self._heap and acc + self._heap[0][0] < x:
-            mass, origin = heapq.heappop(self._heap)
+        while heap and acc + heap[0][0] < x:
+            record = heapq.heappop(heap)
+            mass = record[0]
             if mass > z + INTERNAL_TOL:
-                raise InfeasibleSplitError(f"candidate {origin} has mass {mass!r} exceeding z={z!r}")
-            self._accumulate(-mass)
-            taken.append((mass, origin))
+                self._sum, self._err = s, err
+                raise InfeasibleSplitError(
+                    f"candidate {record[1]} has mass {mass!r} exceeding z={z!r}")
+            t = s - mass
+            if abs(s) >= mass:
+                err += (s - t) - mass
+            else:
+                err += (-mass - t) + s
+            s = t
+            taken.append(record)
             acc += mass
+        self._sum, self._err = s, err
         z_d = x - acc
         if z_d < 0.0:
             z_d = 0.0
@@ -283,24 +300,35 @@ def _prepare(
 
 
 def _finish(
-    raw: list[tuple[float, int, int]],
+    vals: list[float],
+    wr: list[int],
+    wc: list[int],
     dp: Distribution,
     dq: Distribution,
     swapped: bool,
     n_rows: int,
     n_cols: int,
 ) -> SparseCoupling:
-    # raw holds (value, row, col) in sorted positions of the (possibly
-    # swapped) working pair; undo the swap, map through the perms, and sort
-    # plain (row, col, value) tuples, whose (row, col) prefixes are distinct
+    # cell k has value vals[k] at (wr[k], wc[k]) in sorted positions of the
+    # (possibly swapped) working pair; undo the swap, map the index columns
+    # through the perms, and order the cells by the key row * n + col. With
+    # n the padded working length every row and column, padded ones
+    # included, is below n, so key order is (row, col) order, and an
+    # out-of-range cell is reported where the (row, col) order puts it
     if swapped:
-        rows, cols = dq.perm, dp.perm
-        cells = [(rows[c], cols[r], value) for value, r, c in raw]
+        wr, wc = wc, wr
+        row_perm, col_perm = dq.perm, dp.perm
     else:
-        rows, cols = dp.perm, dq.perm
-        cells = [(rows[r], cols[c], value) for value, r, c in raw]
-    cells.sort()
-    return _from_cells(n_rows, n_cols, cells)
+        row_perm, col_perm = dp.perm, dq.perm
+    rows = list(map(row_perm.__getitem__, wr))
+    cols = list(map(col_perm.__getitem__, wc))
+    keys = list(map(operator.add, map(operator.mul, rows, repeat(dp.n)), cols))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    m = object.__new__(SparseCoupling)
+    _fill(m, n_rows, n_cols, tuple(map(rows.__getitem__, order)),
+          tuple(map(cols.__getitem__, order)), tuple(map(vals.__getitem__, order)))
+    return m
 
 
 def _check_one_sided(col_over: bool, row_over: bool, i: int) -> None:
@@ -377,15 +405,18 @@ def min_entropy_coupling_dense(
         if debug:
             splits[i] = (z_d, z[i] - z_d)
 
-    raw = [
-        (grid[r][c], r, c)
-        for r in range(n)
-        for c in range(n)
-        if grid[r][c] > 0.0
-    ]
+    vals: list[float] = []
+    wr: list[int] = []
+    wc: list[int] = []
+    for r, line in enumerate(grid):
+        for c, value in enumerate(line):
+            if value > 0.0:
+                vals.append(value)
+                wr.append(r)
+                wc.append(c)
     if debug:
-        _verify_split_conservation(raw, z, splits)
-    return _finish(raw, dp, dq, swapped, n_rows, n_cols)
+        _verify_split_conservation(vals, wr, wc, z, splits)
+    return _finish(vals, wr, wc, dp, dq, swapped, n_rows, n_cols)
 
 
 def min_entropy_coupling_sparse(
@@ -409,51 +440,77 @@ def min_entropy_coupling_sparse(
     pm, qm = dp.masses, dq.masses
     q_col = MassPool()
     q_row = MassPool()
-    raw: list[tuple[float, int, int]] = []
+    col_heap, row_heap = q_col._heap, q_row._heap
+    # the cells in working coordinates, as three parallel columns
+    vals: list[float] = []
+    wr: list[int] = []
+    wc: list[int] = []
+    add_val, add_row, add_col = vals.append, wr.append, wc.append
     splits: dict[int, tuple[float, float]] = {}
 
     for i in range(n - 1, -1, -1):
         zi = z[i]
-        col_over = q_col.total + zi > qm[i] + INTERNAL_TOL
-        row_over = q_row.total + zi > pm[i] + INTERNAL_TOL
+        col_total = q_col._sum + q_col._err
+        row_total = q_row._sum + q_row._err
+        col_over = col_total + zi > qm[i] + INTERNAL_TOL
+        row_over = row_total + zi > pm[i] + INTERNAL_TOL
         _check_one_sided(col_over, row_over, i)
         z_d = zi
         if col_over:
             z_d, taken = q_col.split(zi, qm[i])
-            if zi - z_d > 0.0:
-                q_col.push(zi - z_d, i)
+            rest = zi - z_d
+            if rest > 0.0:
+                q_col.push(rest, i)
                 if debug:
-                    splits[i] = (z_d, zi - z_d)
+                    splits[i] = (z_d, rest)
         else:
-            if debug and abs(q_col.total + zi - qm[i]) > NORMALIZATION_TOL:
+            if debug and abs(col_total + zi - qm[i]) > NORMALIZATION_TOL:
                 raise InternalError(f"column {i} neither overflows nor balances")
-            taken = q_col.drain()
+            # an empty queue only needs its total reset
+            if col_heap:
+                taken = q_col.drain()
+            else:
+                q_col._sum = q_col._err = 0.0
+                taken = ()
         for mass, fixed_row in taken:
-            raw.append((mass, fixed_row, i))
+            add_val(mass)
+            add_row(fixed_row)
+            add_col(i)
         if row_over:
             z_d, taken = q_row.split(zi, pm[i])
-            if zi - z_d > 0.0:
-                q_row.push(zi - z_d, i)
+            rest = zi - z_d
+            if rest > 0.0:
+                q_row.push(rest, i)
                 if debug:
-                    splits[i] = (z_d, zi - z_d)
+                    splits[i] = (z_d, rest)
         else:
-            if debug and abs(q_row.total + zi - pm[i]) > NORMALIZATION_TOL:
+            if debug and abs(row_total + zi - pm[i]) > NORMALIZATION_TOL:
                 raise InternalError(f"row {i} neither overflows nor balances")
-            taken = q_row.drain()
+            if row_heap:
+                taken = q_row.drain()
+            else:
+                q_row._sum = q_row._err = 0.0
+                taken = ()
         for mass, fixed_col in taken:
-            raw.append((mass, i, fixed_col))
+            add_val(mass)
+            add_row(i)
+            add_col(fixed_col)
         if z_d > 0.0:
-            raw.append((z_d, i, i))
+            add_val(z_d)
+            add_row(i)
+            add_col(i)
 
-    if len(q_col) or len(q_row):
+    if col_heap or row_heap:
         raise InternalError("leftover queued mass after the final index")
     if debug:
-        _verify_split_conservation(raw, z, splits)
-    return _finish(raw, dp, dq, swapped, n_rows, n_cols)
+        _verify_split_conservation(vals, wr, wc, z, splits)
+    return _finish(vals, wr, wc, dp, dq, swapped, n_rows, n_cols)
 
 
 def _verify_split_conservation(
-    raw: list[tuple[float, int, int]],
+    vals: list[float],
+    wr: list[int],
+    wc: list[int],
     z: tuple[float, ...],
     splits: dict[int, tuple[float, float]],
 ) -> None:
@@ -461,7 +518,7 @@ def _verify_split_conservation(
     # diagonal keeps z_i and pieces only travel to lower indices; each
     # component's cells are the component whole or the two pieces of its split
     groups: dict[int, list[float]] = {}
-    for value, r, c in raw:
+    for value, r, c in zip(vals, wr, wc):
         groups.setdefault(max(r, c), []).append(value)
     for j, zj in enumerate(z):
         got = sorted(groups.get(j, ()))

@@ -16,6 +16,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (
     BadAlphaError,
@@ -201,8 +202,9 @@ def shannon_entropy(d: Distribution | Sequence[float]) -> float:
         >>> shannon_entropy([1.0, 0.0])
         0.0
     """
+    xs = _positive_masses(d)
     # adding 0.0 folds the point-mass result -0.0 back to 0.0
-    return -math.fsum(x * math.log2(x) for x in _positive_masses(d)) + 0.0
+    return -math.fsum(map(operator.mul, xs, map(math.log2, xs))) + 0.0
 
 
 def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
@@ -221,7 +223,7 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
     positive = _positive_masses(d)
     if not positive:
         return 0.0
-    power_sum = math.fsum(x**alpha for x in positive)
+    power_sum = math.fsum(map(pow, positive, repeat(alpha)))
     # adding 0.0 folds the point-mass result -0.0 back to 0.0
     return math.log2(power_sum) / (1.0 - alpha) + 0.0
 

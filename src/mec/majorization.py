@@ -62,12 +62,27 @@ def glb(p: Distribution | Sequence[float], q: Distribution | Sequence[float]) ->
     sums stay within tolerance.
     """
     dp, dq = _padded_pair(p, q)
-    pp = compensated_prefix(dp.masses)
-    pq = compensated_prefix(dq.masses)
     masses: list[float] = []
+    # the two compensated prefix sums (as in compensated_prefix) and the
+    # clamped differences of their minimum, in one pass
+    sp = ep = sq = eq = 0.0
     previous = 0.0
     carry = 0.0
-    for a, b in zip(pp, pq):
+    for x, y in zip(dp.masses, dq.masses):
+        t = sp + x
+        if abs(sp) >= abs(x):
+            ep += (sp - t) + x
+        else:
+            ep += (x - t) + sp
+        sp = t
+        t = sq + y
+        if abs(sq) >= abs(y):
+            eq += (sq - t) + y
+        else:
+            eq += (y - t) + sq
+        sq = t
+        a = sp + ep
+        b = sq + eq
         m = a if a <= b else b
         z = m - previous + carry
         if z < 0.0:

@@ -133,6 +133,25 @@ class TestCoupleCommand:
         assert code == 2
         assert "dense engine" in err
 
+    @pytest.mark.parametrize("big_side", ["p", "q"])
+    def test_dense_format_over_the_cap_is_an_input_error(self, capsys, files, monkeypatch,
+                                                          big_side):
+        def engine_must_not_run(p, q):
+            raise AssertionError("an engine ran on a document that is refused")
+
+        monkeypatch.setitem(cli._ENGINES, "sparse", engine_must_not_run)
+        n = DENSE_CAP + 1
+        sides = {"p": [1.0], "q": [1.0]}
+        sides[big_side] = [1.0 / n] * n
+        code = run([
+            "couple", "--format", "dense",
+            "--p", files("p.json", sides["p"]),
+            "--q", files("q.json", sides["q"]),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: format: --format dense is capped at {DENSE_CAP} ")
+
     def test_single_document_carries_both_marginals(self, capsys, files):
         doc = run_json(
             capsys,

@@ -6,6 +6,7 @@ import copy
 import decimal
 import functools
 import hashlib
+import heapq
 import math
 import operator
 import pickle
@@ -14,11 +15,18 @@ import re
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mec
-from mec.coupling import _CELL_DIAGNOSTICS, DENSE_CAP, MassPool, _first_bad_cell, _from_cells
+from mec.coupling import (
+    _CELL_DIAGNOSTICS,
+    DENSE_CAP,
+    MassPool,
+    _first_bad_cell,
+    _from_cells,
+    _prepare,
+)
 from conftest import (
     H_WORKED_GLB,
     WORKED_P,
@@ -805,3 +813,209 @@ class TestIsValidCouplingMatchesReference:
         q = mec.Distribution((0.3, 0.2, 0.1), (2, 1, 0))
         assert mec.is_valid_coupling(m, p, q, tol) == expected
         assert reference_is_valid_coupling(m, p, q, tol) == expected
+
+
+class ReferencePool:
+    """``MassPool`` as it stood before its bookkeeping moved onto locals:
+    every total update goes through ``_accumulate``."""
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int]] = []
+        self._sum = 0.0
+        self._err = 0.0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @property
+    def total(self) -> float:
+        return self._sum + self._err
+
+    def _accumulate(self, x: float) -> None:
+        t = self._sum + x
+        if abs(self._sum) >= abs(x):
+            self._err += (self._sum - t) + x
+        else:
+            self._err += (x - t) + self._sum
+        self._sum = t
+
+    def push(self, mass: float, origin: int) -> None:
+        if not mass > 0.0:
+            raise ValueError(f"pool masses must be positive, got {mass!r}")
+        heapq.heappush(self._heap, (mass, origin))
+        self._accumulate(mass)
+
+    def split(self, z: float, x: float) -> tuple[float, list[tuple[float, int]]]:
+        if x > z + self.total + mec.INTERNAL_TOL:
+            raise mec.InfeasibleSplitError(f"target {x!r} exceeds z plus queued total")
+        taken: list[tuple[float, int]] = []
+        acc = 0.0
+        while self._heap and acc + self._heap[0][0] < x:
+            mass, origin = heapq.heappop(self._heap)
+            if mass > z + mec.INTERNAL_TOL:
+                raise mec.InfeasibleSplitError(
+                    f"candidate {origin} has mass {mass!r} exceeding z={z!r}")
+            self._accumulate(-mass)
+            taken.append((mass, origin))
+            acc += mass
+        z_d = x - acc
+        if z_d < 0.0:
+            z_d = 0.0
+        if z_d > z:
+            if z_d - z > mec.INTERNAL_TOL:
+                raise mec.InfeasibleSplitError(f"retained piece {z_d!r} exceeds z={z!r}")
+            z_d = z
+        return z_d, taken
+
+    def drain(self) -> list[tuple[float, int]]:
+        out: list[tuple[float, int]] = []
+        while self._heap:
+            out.append(heapq.heappop(self._heap))
+        self._sum = 0.0
+        self._err = 0.0
+        return out
+
+
+def reference_min_entropy_coupling_sparse(p, q) -> mec.SparseCoupling:
+    """The sparse engine as it stood before its cells became three columns:
+    one (value, row, col) tuple per cell, every drain run, the pool total
+    read through ``total``, and the cells sorted as (row, col, value) tuples."""
+    dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
+    n = dp.n
+    z = mec.glb(dp, dq).masses
+    pm, qm = dp.masses, dq.masses
+    q_col = ReferencePool()
+    q_row = ReferencePool()
+    raw: list[tuple[float, int, int]] = []
+    for i in range(n - 1, -1, -1):
+        zi = z[i]
+        col_over = q_col.total + zi > qm[i] + mec.INTERNAL_TOL
+        row_over = q_row.total + zi > pm[i] + mec.INTERNAL_TOL
+        if col_over and row_over:
+            raise mec.InternalError(f"both marginals overflow at index {i}; state is corrupted")
+        z_d = zi
+        if col_over:
+            z_d, taken = q_col.split(zi, qm[i])
+            if zi - z_d > 0.0:
+                q_col.push(zi - z_d, i)
+        else:
+            taken = q_col.drain()
+        for mass, fixed_row in taken:
+            raw.append((mass, fixed_row, i))
+        if row_over:
+            z_d, taken = q_row.split(zi, pm[i])
+            if zi - z_d > 0.0:
+                q_row.push(zi - z_d, i)
+        else:
+            taken = q_row.drain()
+        for mass, fixed_col in taken:
+            raw.append((mass, i, fixed_col))
+        if z_d > 0.0:
+            raw.append((z_d, i, i))
+    if len(q_col) or len(q_row):
+        raise mec.InternalError("leftover queued mass after the final index")
+    if swapped:
+        rows, cols = dq.perm, dp.perm
+        cells = [(rows[c], cols[r], value) for value, r, c in raw]
+    else:
+        rows, cols = dp.perm, dq.perm
+        cells = [(rows[r], cols[c], value) for value, r, c in raw]
+    cells.sort()
+    return _from_cells(n_rows, n_cols, cells)
+
+
+def engine_outcome(engine, p, q):
+    """The coupling's rows, columns and value bits, or the type and message
+    the engine raised."""
+    try:
+        m = engine(p, q)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
+        return type(exc), str(exc)
+    return m.n_rows, m.n_cols, m.rows, m.cols, [v.hex() for v in m.values()]
+
+
+SUB_TOL_MASSES = (3e-14, 1e-13, 2e-13, 5e-13)
+
+
+@st.composite
+def engine_marginals(draw) -> list[float]:
+    """A shuffled marginal of 1-12 masses, tied (small multiples of one
+    mass) or not, with explicit zeros and a tail of masses below the 1e-12
+    internal tolerance, which a zero target lets drain into a padded line."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0]), min_size=n, max_size=n))
+    else:
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    tail = draw(st.lists(st.sampled_from(SUB_TOL_MASSES), max_size=4))
+    total = math.fsum(weights) / (1.0 - math.fsum(tail))
+    masses = [w / total for w in weights] + tail
+    for _ in range(draw(st.integers(0, 2))):
+        masses.insert(draw(st.integers(0, len(masses))), 0.0)
+    return draw(st.permutations(masses))
+
+
+# two sub-1e-12 tails of the 15 x 3 pair drain into padded columns 7 and 11:
+# only a key built with the padded length keeps (2, 11) ahead of (3, 7)
+PADDED_COLUMNS_P = [
+    0.21331326181844001, 0.25765967528188355, 1e-13, 5e-13, 1e-13, 1e-13,
+    0.1387701513790149, 0.1125533519774048, 5e-13, 1e-13, 2e-13,
+    0.14135429184926587, 0.02276676605353393, 0.11358250163835702, 5e-13,
+]
+PADDED_COLUMNS_Q = [0.4614129771801556, 0.4048748450909027, 0.1337121777289417]
+
+
+class TestSparseEngineMatchesTheTupleWalk:
+    """The columnar walk and its integer-keyed sort give the old walk's
+    cells, float bits and order, and its exceptions with their messages.
+    The reference keeps the padded-column ``ValueError`` (ROADMAP item 1):
+    a change that mends the defect mends the reference with it."""
+
+    @given(engine_marginals(), engine_marginals())
+    @settings(max_examples=300, deadline=None)
+    def test_same_cells_or_same_exception(self, p, q):
+        # both argument orders: one of them takes the role swap
+        for a, b in ((p, q), (q, p)):
+            assert (engine_outcome(mec.min_entropy_coupling_sparse, a, b)
+                    == engine_outcome(reference_min_entropy_coupling_sparse, a, b))
+
+    def test_padded_columns_are_reported_in_row_order(self):
+        for a, b, message in ((PADDED_COLUMNS_P, PADDED_COLUMNS_Q, "entry (2, 11) outside 15 x 3"),
+                              (PADDED_COLUMNS_Q, PADDED_COLUMNS_P, "entry (7, 3) outside 3 x 15")):
+            want = engine_outcome(reference_min_entropy_coupling_sparse, a, b)
+            assert want == (ValueError, message)
+            assert engine_outcome(mec.min_entropy_coupling_sparse, a, b) == want
+
+
+def pool_state(pool) -> tuple:
+    return pool._sum.hex(), pool._err.hex(), [(mass.hex(), origin) for mass, origin in pool._heap]
+
+
+POOL_OPS = st.lists(
+    st.tuples(st.sampled_from(["push", "split", "drain"]), st.floats(1e-6, 1.0),
+              st.floats(0.0, 2.0)),
+    max_size=40,
+)
+
+
+class TestMassPoolMatchesTheReference:
+    """The inlined compensated total is written back on every path, a
+    raising split included, bit for bit as ``_accumulate`` kept it."""
+
+    @given(POOL_OPS)
+    # a split that takes 0.05 and then meets a record larger than z
+    @example([("push", 0.05, 0.0), ("push", 0.5, 0.0), ("split", 0.1, 0.6), ("push", 0.3, 0.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_same_state_after_every_operation(self, ops):
+        pool, ref = MassPool(), ReferencePool()
+        for origin, (op, a, b) in enumerate(ops):
+            if op == "push":
+                pool.push(a, origin)
+                ref.push(a, origin)
+            elif op == "split":
+                # repr tells every float apart, as hex does
+                assert repr(outcome(pool.split, a, b)) == repr(outcome(ref.split, a, b))
+            else:
+                assert pool.drain() == ref.drain()
+            assert pool_state(pool) == pool_state(ref)
+            assert pool.total.hex() == ref.total.hex()
