@@ -502,6 +502,54 @@ class TestBitIdentityPin:
         assert _sha256(f"{e.value.hex()} {e.coords}" for e in joint.entries) == self.JOINT_K5_TIES
 
 
+class TestQuickTourPin:
+    """Digests of what the quick tour computes besides the coupling, over
+    the pairs of :class:`TestBitIdentityPin` in both orders: the glb's
+    masses (float bits) and permutation from raw lists and from
+    distributions, three ``majorizes`` results, and the ``is_valid_coupling``
+    verdicts on the engine output at three tolerances."""
+
+    # per pair: (glb digest, majorizes results, verdicts digest) for (p, q),
+    # then for (q, p)
+    PINS = {
+        37: (("fdbc812e0a52827560291707c788068615d8051ff08e551a301e7d574d00bc10",
+              (True, True, True),
+              "e3e87bba30a5b6566853963b2aa347f88621772b4d3d017266fb0c979e8c3e36"),
+             ("fdbc812e0a52827560291707c788068615d8051ff08e551a301e7d574d00bc10",
+              (False, True, False),
+              "fb9913a7993218975b4829e52f69d7f41f7ad290712ba6d2b4c945a57ad3e6a6")),
+        1000: (("c65adbdaa362de5be545efbb2815a3c0d8ef809a1bc39777ee7b1daa992f9b6b",
+                (False, True, False),
+                "b7cb92c034d63ec6c43ea0bf6909b7ce66102b43d50aa97a59d4f9f03c617703"),
+               ("c65adbdaa362de5be545efbb2815a3c0d8ef809a1bc39777ee7b1daa992f9b6b",
+                (False, True, False),
+                "48cd3535ed3ec3c798080b7178705c2dcfe1fa3d39d913457908f89bfbf17ae0")),
+        50000: (("4958c8f2901fcb6aa8f72252ad1b484cd47065e3b95dd7fa095d040c3ca6c124",
+                 (True, True, True),
+                 "f445926eefc3556b055cc43c6efe6c0d2ad5644ec3bb3511dbe4a5e8fca1e43a"),
+                ("4958c8f2901fcb6aa8f72252ad1b484cd47065e3b95dd7fa095d040c3ca6c124",
+                 (False, True, False),
+                 "46c90b19e8205102eb91ebfd7f7e231559af4e69bfd0499a3c307cc5319e58fe")),
+    }
+
+    @pytest.mark.parametrize("seed, n, m, zeros", [case[:4] for case in TestBitIdentityPin.PAIRS],
+                             ids=[str(case[0]) for case in TestBitIdentityPin.PAIRS])
+    def test_quick_tour_results_are_bit_identical(self, seed, n, m, zeros):
+        rng = random.Random(seed)
+        p = zero_padded_masses(rng, n, zeros)
+        q = zero_padded_masses(rng, m, zeros // 2)
+        for (a, b), (glb_digest, ordered, verdicts) in zip(((p, q), (q, p)), self.PINS[seed]):
+            da, db = mec.make_distribution(a), mec.make_distribution(b)
+            for z in (mec.glb(a, b), mec.glb(da, db)):
+                assert _sha256(f"{x.hex()} {k}" for x, k in zip(z.masses, z.perm)) == glb_digest
+            assert (mec.majorizes(a, b), mec.majorizes(z, a), mec.majorizes(a, z)) == ordered
+            assert (mec.majorizes(da, db), mec.majorizes(z, da), mec.majorizes(da, z)) == ordered
+            c = mec.min_entropy_coupling_sparse(a, b)
+            for x, y in ((a, b), (da, db)):
+                got = [mec.is_valid_coupling(c, x, y, tol) for tol in (1e-9, 1e-15, 0.0)]
+                assert _sha256(map(repr, got)) == verdicts
+
+
 class TestOracleBitIdentityPin:
     """Digest of the oracle's optimum and argmin grid, float bits included,
     frozen from the enumerator that filtered every edge subset; a change of
@@ -813,6 +861,56 @@ class TestIsValidCouplingMatchesReference:
         q = mec.Distribution((0.3, 0.2, 0.1), (2, 1, 0))
         assert mec.is_valid_coupling(m, p, q, tol) == expected
         assert reference_is_valid_coupling(m, p, q, tol) == expected
+
+
+class TestReplacedFieldsAreWalked:
+    """An engine-built coupling whose field was replaced after construction
+    gets its cells checked again: the checker trusts the construction-time
+    check only for the very objects that check saw."""
+
+    P = (0.35, 0.25, 0.2, 0.12, 0.08)
+    Q = (0.3, 0.3, 0.22, 0.18)
+
+    def built(self):
+        m = mec.min_entropy_coupling_sparse(self.P, self.Q)
+        # the last row and the last column both hold a cell
+        assert m.n_rows - 1 in m.rows and m.n_cols - 1 in m.cols
+        return m
+
+    @staticmethod
+    def first_moved(line, fixed):
+        # ``line`` with its first entry replaced by ``fixed``
+        return (fixed, *line[1:])
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "_values", "n_rows", "n_cols"])
+    def test_a_replaced_field_gets_the_reference_diagnostic(self, field):
+        m = self.built()
+        assert mec.is_valid_coupling(m, self.P, self.Q) == (True, "ok")
+        p, q = list(self.P), list(self.Q)
+        if field == "rows":
+            value = self.first_moved(m.rows, m.n_rows)
+        elif field == "cols":
+            value = self.first_moved(m.cols, -1)
+        elif field == "_values":
+            value = self.first_moved(m.values(), 0.0)
+        elif field == "n_rows":
+            # one row fewer: the last row's cells fall out of range, and its
+            # mass moves to row 0 so that the marginal still sums to 1
+            value = m.n_rows - 1
+            p = [p[0] + p[-1], *p[1:-1]]
+        else:
+            value = m.n_cols - 1
+            q = [q[0] + q[-1], *q[1:-1]]
+        object.__setattr__(m, field, value)
+        got = mec.is_valid_coupling(m, p, q)
+        assert not got[0] and got[1].startswith("entry (")
+        assert got == reference_is_valid_coupling(m, p, q)
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "_values"])
+    def test_an_equal_copy_gets_the_same_verdict(self, field):
+        m = self.built()
+        object.__setattr__(m, field, tuple(list(getattr(m, field))))
+        assert mec.is_valid_coupling(m, self.P, self.Q) == (True, "ok")
 
 
 class ReferencePool:

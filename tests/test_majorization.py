@@ -225,6 +225,44 @@ class TestGlbOnDistributions:
         assert [x.hex() for x in got.masses] == [x.hex() for x in want.masses]
 
 
+def raised(f, *args):
+    """The type and message of what ``f(*args)`` raised."""
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return info.type, str(info.value)
+
+
+class TestGlbOnInvalidRawInput:
+    """A raw input that fails validation raises what make_distribution
+    raises for it, and p is checked before q."""
+
+    GOOD = [0.5, 0.3, 0.2]
+    BAD = {
+        "nan": [0.5, math.nan, 0.5],
+        "inf": [0.5, math.inf],
+        "negative": [0.7, -0.2, 0.5],
+        "not-normalized": [0.5, 0.4],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_same_exception_as_make_distribution(self, kind):
+        bad = self.BAD[kind]
+        want = raised(mec.make_distribution, bad)
+        assert raised(mec.glb, bad, self.GOOD) == want
+        assert raised(mec.glb, self.GOOD, bad) == want
+        assert raised(mec.glb, bad, mec.make_distribution(self.GOOD)) == want
+        assert raised(mec.majorizes, bad, self.GOOD) == want
+        assert raised(mec.majorizes, self.GOOD, bad) == want
+
+    @pytest.mark.parametrize("p_kind, q_kind", [("nan", "empty"), ("empty", "negative"),
+                                                ("not-normalized", "inf")])
+    def test_p_is_checked_before_q(self, p_kind, q_kind):
+        p, q = self.BAD[p_kind], self.BAD[q_kind]
+        assert raised(mec.glb, p, q) == raised(mec.make_distribution, p)
+        assert raised(mec.majorizes, p, q) == raised(mec.make_distribution, p)
+
+
 class TestGlbMany:
     def test_single_input_returned(self):
         d = mec.make_distribution(WORKED_P)
