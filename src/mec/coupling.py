@@ -19,9 +19,8 @@ marginal, regardless of the internal sorting and of the role swap applied
 when the marginals compare the wrong way at their last differing component.
 They record the cells as three flat columns (value, row, column) in sorted
 working positions and share one output step: it undoes the swap, maps the
-index columns through the sort permutations, and orders the cells by the
-integer key row * n + col, where n is the padded working length. Every index
-is below n, so that order is the (row, col) order.
+index columns through the sort permutations, and orders the cells by two
+stable sorts, by column and then by row, which is the (row, col) order.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ class SparseCoupling:
     hash by their columns, and print as the constructor call that builds them.
     """
 
-    __slots__ = ("n_rows", "n_cols", "rows", "cols", "_values")
+    # _checked: the field objects that _fill checked cell by cell
+    __slots__ = ("n_rows", "n_cols", "rows", "cols", "_values", "_checked")
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[CouplingEntry]) -> None:
         entries = tuple(entries)
@@ -178,6 +178,7 @@ def _fill(m, n_rows, n_cols, rows, cols, values) -> None:
     for name, value in (("n_rows", n_rows), ("n_cols", n_cols), ("rows", rows),
                         ("cols", cols), ("_values", values)):
         object.__setattr__(m, name, value)
+    object.__setattr__(m, "_checked", (n_rows, n_cols, rows, cols, values))
 
 
 class MassPool:
@@ -311,10 +312,11 @@ def _finish(
 ) -> SparseCoupling:
     # cell k has value vals[k] at (wr[k], wc[k]) in sorted positions of the
     # (possibly swapped) working pair; undo the swap, map the index columns
-    # through the perms, and order the cells by the key row * n + col. With
-    # n the padded working length every row and column, padded ones
-    # included, is below n, so key order is (row, col) order, and an
-    # out-of-range cell is reported where the (row, col) order puts it
+    # through the perms, and order the cells by column, then stably by row.
+    # That is (row, col) order, padded indices included, so an out-of-range
+    # cell is reported where the (row, col) order puts it. Two sorts of
+    # small ints beat one sort of row * n + col, whose multi-digit ints lose
+    # CPython's fast int compare at n = 1e5
     if swapped:
         wr, wc = wc, wr
         row_perm, col_perm = dq.perm, dp.perm
@@ -322,18 +324,16 @@ def _finish(
         row_perm, col_perm = dp.perm, dq.perm
     rows = list(map(row_perm.__getitem__, wr))
     cols = list(map(col_perm.__getitem__, wc))
-    keys = list(map(operator.add, map(operator.mul, rows, repeat(dp.n)), cols))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    del keys
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    order.sort(key=rows.__getitem__)
     m = object.__new__(SparseCoupling)
     _fill(m, n_rows, n_cols, tuple(map(rows.__getitem__, order)),
           tuple(map(cols.__getitem__, order)), tuple(map(vals.__getitem__, order)))
     return m
 
 
-def _check_one_sided(col_over: bool, row_over: bool, i: int) -> None:
-    if col_over and row_over:
-        raise InternalError(f"both marginals overflow at index {i}; state is corrupted")
+def _both_overflow(i: int) -> InternalError:
+    return InternalError(f"both marginals overflow at index {i}; state is corrupted")
 
 
 def min_entropy_coupling_dense(
@@ -375,7 +375,8 @@ def min_entropy_coupling_dense(
         row_sum = math.fsum(grid[i][k] for k in range(n))
         col_over = col_sum > qm[i] + INTERNAL_TOL
         row_over = row_sum > pm[i] + INTERNAL_TOL
-        _check_one_sided(col_over, row_over, i)
+        if col_over and row_over:
+            raise _both_overflow(i)
         if not (col_over or row_over):
             continue
         if i == 0:
@@ -454,7 +455,8 @@ def min_entropy_coupling_sparse(
         row_total = q_row._sum + q_row._err
         col_over = col_total + zi > qm[i] + INTERNAL_TOL
         row_over = row_total + zi > pm[i] + INTERNAL_TOL
-        _check_one_sided(col_over, row_over, i)
+        if col_over and row_over:
+            raise _both_overflow(i)
         z_d = zi
         if col_over:
             z_d, taken = q_col.split(zi, qm[i])
@@ -594,10 +596,16 @@ def is_valid_coupling(
     if m.n_cols != len(tq):
         return False, f"n_cols is {m.n_cols}, second marginal has {len(tq)} components"
     rows, cols, values = m.rows, m.cols, m.values()
-    bad = _first_bad_cell(m.n_rows, m.n_cols, rows, cols, values)
-    if bad is not None:
-        kind, row, col, value = bad
-        return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
+    fields = (m.n_rows, m.n_cols, rows, cols, values)
+    # _fill checked the cells of the fields it recorded; a field replaced
+    # since (object.__setattr__ gets past the guard) is another object, and
+    # sends the cells through the check again
+    checked = getattr(m, "_checked", None)
+    if checked is None or not all(map(operator.is_, fields, checked)):
+        bad = _first_bad_cell(*fields)
+        if bad is not None:
+            kind, row, col, value = bad
+            return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
     for name, index, n, target in (
         ("row", rows, m.n_rows, tp),
         ("column", cols, m.n_cols, tq),

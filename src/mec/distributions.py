@@ -16,7 +16,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, zip_longest
 
 from .errors import (
     BadAlphaError,
@@ -125,7 +125,16 @@ def make_distribution(
     values = _caller_masses(raw, renormalize, tol)
     # a reverse sort is still stable, so ties keep ascending caller indices
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    return Distribution(tuple(map(values.__getitem__, order)), tuple(order))
+    return _sorted_distribution(tuple(map(values.__getitem__, order)), tuple(order))
+
+
+def _sorted_distribution(masses: tuple[float, ...], perm: tuple[int, ...]) -> Distribution:
+    # a Distribution from masses whose order the caller has just set, without
+    # the constructor's walk over that order
+    d = object.__new__(Distribution)
+    object.__setattr__(d, "masses", masses)
+    object.__setattr__(d, "perm", perm)
+    return d
 
 
 def _caller_masses(
@@ -180,14 +189,27 @@ def _caller_order(d: Distribution | Sequence[float], tol: float = NORMALIZATION_
     return d.to_caller_order() if isinstance(d, Distribution) else _caller_masses(d, tol=tol)
 
 
+def _sorted_masses(d: Distribution | Sequence[float]) -> Sequence[float]:
+    """Masses in non-increasing order: a :class:`Distribution`'s own, or raw
+    masses after the checks of :func:`make_distribution`, which are the floats
+    of its ``masses`` in the same order (both are stable reverse sorts)."""
+    return d.masses if isinstance(d, Distribution) else sorted(_caller_masses(d), reverse=True)
+
+
 def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
     # shared validation for the entropy functionals; subnormalized input
     # is allowed, negative roundoff is clamped like make_distribution does
     values = d.masses if isinstance(d, Distribution) else tuple(d)
     out = [float(x) for x in values if x > 0.0]
-    # only a vector with components left out can hold a negative one
-    if len(out) < len(values) and not min(values) >= -INTERNAL_TOL:
+    # one C-level pass clears the usual case: every mass finite (a NaN one
+    # would be left out of ``out`` unseen), and none negative, which only a
+    # vector with components left out can hold. The walk names the first bad
+    # component, as make_distribution does
+    if not (all(map(math.isfinite, values))
+            and (len(out) == len(values) or min(values) >= -INTERNAL_TOL)):
         for i, x in enumerate(values):
+            if not math.isfinite(x):
+                raise InputError(f"component {i} is not finite: {x!r}")
             if x < -INTERNAL_TOL:
                 raise NegativeMassError(f"component {i} is negative: {x!r}")
     return out
@@ -195,6 +217,10 @@ def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
 
 def shannon_entropy(d: Distribution | Sequence[float]) -> float:
     """Shannon entropy in bits, with 0 * log(0) taken as 0.
+
+    Raises:
+        InputError: some component is NaN or infinite.
+        NegativeMassError: some component is below ``-INTERNAL_TOL``.
 
     Examples:
         >>> shannon_entropy([0.5, 0.5])
@@ -217,6 +243,8 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
     Raises:
         BadAlphaError: ``alpha`` is not a finite order above 0, or lies
             within 1e-9 of 1.
+        InputError: some component is NaN or infinite.
+        NegativeMassError: some component is below ``-INTERNAL_TOL``.
     """
     if not 0.0 < alpha < math.inf or abs(alpha - 1.0) <= 1e-9:
         raise BadAlphaError(f"order must lie in (0,1) or (1,inf), got {alpha!r}")
@@ -241,20 +269,17 @@ def kl_divergence(
     Raises:
         SupportMismatchError: some sorted position has ``y > 0`` but ``x == 0``.
     """
-    yd = as_distribution(y)
-    xd = as_distribution(x)
-    n = max(yd.n, xd.n)
-    ym = yd.padded(n).masses
-    xm = xd.padded(n).masses
+    ym = _sorted_masses(y)
+    xm = _sorted_masses(x)
     terms = []
-    for k in range(n):
-        if ym[k] <= 0.0:
+    for k, (yk, xk) in enumerate(zip_longest(ym, xm, fillvalue=0.0)):
+        if yk <= 0.0:
             continue
-        if xm[k] <= 0.0:
+        if xk <= 0.0:
             raise SupportMismatchError(
-                f"sorted position {k} has mass {ym[k]!r} but reference mass 0"
+                f"sorted position {k} has mass {yk!r} but reference mass 0"
             )
-        terms.append(ym[k] * math.log2(ym[k] / xm[k]))
+        terms.append(yk * math.log2(yk / xk))
     return math.fsum(terms)
 
 

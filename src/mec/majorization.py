@@ -15,11 +15,14 @@ multi-marginal gap analysis.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain, repeat, zip_longest
 
 from .distributions import (
     INTERNAL_TOL,
     Distribution,
     _caller_masses,
+    _sorted_distribution,
+    _sorted_masses,
     as_distribution,
     compensated_prefix,
     make_distribution,
@@ -29,16 +32,6 @@ from .errors import EmptyError, SizeCapError
 HALF_COMPONENT_CAP = 2**20
 
 
-def _padded_pair(
-    a: Distribution | Sequence[float],
-    b: Distribution | Sequence[float],
-) -> tuple[Distribution, Distribution]:
-    da = as_distribution(a)
-    db = as_distribution(b)
-    n = max(da.n, db.n)
-    return da.padded(n), db.padded(n)
-
-
 def majorizes(a: Distribution | Sequence[float], b: Distribution | Sequence[float]) -> bool:
     """True iff ``a`` sits below ``b`` in the majorization order (a <= b).
 
@@ -46,9 +39,10 @@ def majorizes(a: Distribution | Sequence[float], b: Distribution | Sequence[floa
     are compared with 1e-12 slack so that exact-in-theory ties do not flip on
     roundoff.
     """
-    da, db = _padded_pair(a, b)
-    pa = compensated_prefix(da.masses)
-    pb = compensated_prefix(db.masses)
+    am, bm = _sorted_masses(a), _sorted_masses(b)
+    n = max(len(am), len(bm))
+    pa = compensated_prefix(chain(am, repeat(0.0, n - len(am))))
+    pb = compensated_prefix(chain(bm, repeat(0.0, n - len(bm))))
     return all(x <= y + INTERNAL_TOL for x, y in zip(pa, pb))
 
 
@@ -61,14 +55,14 @@ def glb(p: Distribution | Sequence[float], q: Distribution | Sequence[float]) ->
     clamped to zero and the deficit folded into the next component so prefix
     sums stay within tolerance.
     """
-    dp, dq = _padded_pair(p, q)
+    pm, qm = _sorted_masses(p), _sorted_masses(q)
     masses: list[float] = []
     # the two compensated prefix sums (as in compensated_prefix) and the
     # clamped differences of their minimum, in one pass
     sp = ep = sq = eq = 0.0
     previous = 0.0
     carry = 0.0
-    for x, y in zip(dp.masses, dq.masses):
+    for x, y in zip_longest(pm, qm, fillvalue=0.0):
         t = sp + x
         if abs(sp) >= abs(x):
             ep += (sp - t) + x
@@ -124,7 +118,8 @@ def half(p: Distribution | Sequence[float]) -> Distribution:
         h = x / 2.0
         masses.append(h)
         masses.append(h)
-    return Distribution(tuple(masses), tuple(range(len(masses))))
+    # halving keeps the order
+    return _sorted_distribution(tuple(masses), tuple(range(len(masses))))
 
 
 def half_iter(

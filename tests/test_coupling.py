@@ -1064,7 +1064,7 @@ PADDED_COLUMNS_Q = [0.4614129771801556, 0.4048748450909027, 0.1337121777289417]
 
 
 class TestSparseEngineMatchesTheTupleWalk:
-    """The columnar walk and its integer-keyed sort give the old walk's
+    """The columnar walk and its two-pass cell sort give the old walk's
     cells, float bits and order, and its exceptions with their messages.
     The reference keeps the padded-column ``ValueError`` (ROADMAP item 1):
     a change that mends the defect mends the reference with it."""

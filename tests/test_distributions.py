@@ -200,6 +200,44 @@ class TestShannonEntropy:
         d = mec.make_distribution([0.5, 0.5])
         assert mec.shannon_entropy(d) == 1.0
 
+    def test_rejects_nan_in_distribution_objects(self):
+        # the public constructor lets a NaN through its order check
+        d = mec.Distribution((0.5, math.nan, 0.5), (0, 1, 2))
+        with pytest.raises(mec.InputError, match=r"^component 1 is not finite: nan$"):
+            mec.shannon_entropy(d)
+
+
+NON_FINITE_ENTROPY_CASES = [
+    ([0.5, math.nan, 0.5], mec.InputError, "component 1 is not finite: nan"),
+    ([math.inf, 0.5], mec.InputError, "component 0 is not finite: inf"),
+    ([0.5, 0.0, -math.inf], mec.InputError, "component 2 is not finite: -inf"),
+    # index order decides between a non-finite and a negative component
+    ([0.5, -0.5, math.nan], mec.NegativeMassError, "component 1 is negative: -0.5"),
+    ([0.5, math.nan, -0.5], mec.InputError, "component 1 is not finite: nan"),
+]
+
+
+@pytest.mark.parametrize("raw, error, message", NON_FINITE_ENTROPY_CASES)
+class TestEntropyRejectsNonFiniteMasses:
+    """A NaN or infinite mass raises the error make_distribution raises for
+    it, first bad component first, instead of being left out or giving -inf."""
+
+    def test_shannon(self, raw, error, message):
+        with pytest.raises(error) as info:
+            mec.shannon_entropy(raw)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_renyi(self, raw, error, message, alpha):
+        with pytest.raises(error) as info:
+            mec.renyi_entropy(raw, alpha)
+        assert str(info.value) == message
+
+    def test_same_as_make_distribution(self, raw, error, message):
+        with pytest.raises(error) as info:
+            mec.make_distribution(raw)
+        assert str(info.value) == message
+
 
 class TestRenyiEntropy:
     def test_uniform_pair_any_order(self):
