@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from collections.abc import Iterable
 
@@ -292,7 +291,7 @@ def _execute(ns: argparse.Namespace) -> dict:
         joint = min_entropy_joint_k(ds)
         values = joint.values()
         bounds = frl_bounds(ds)
-        cells = map(operator.add, map(operator.attrgetter("coords"), joint.entries), zip(values))
+        cells = zip(*joint.columns, values)
         return {
             "dims": list(joint.dims),
             "entries": _Entries(_joint_entry(len(joint.dims)), cells),

@@ -37,6 +37,7 @@ from .distributions import (
     NORMALIZATION_TOL,
     Distribution,
     _caller_order,
+    _sorted_distribution,
     as_distribution,
 )
 from .errors import InfeasibleSplitError, InternalError, TooLargeError
@@ -54,7 +55,42 @@ class CouplingEntry:
     col: int
 
 
-class SparseCoupling:
+class _CellStore:
+    """What the two sparse types share: immutable, equal and hashed by their
+    ``_KEY`` fields, printed and pickled as the constructor call with their
+    ``_ARGS`` fields and ``entries``."""
+
+    __slots__ = ()
+    _ARGS: tuple[str, ...] = ()
+    _KEY: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._KEY))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = "".join(f"{name}={getattr(self, name)!r}, " for name in self._ARGS)
+        return f"{type(self).__name__}({args}entries={self.entries!r})"
+
+    def __reduce__(self):
+        return type(self), (*map(self.__getattribute__, self._ARGS), self.entries)
+
+    def values(self) -> tuple[float, ...]:
+        return self._values
+
+
+class SparseCoupling(_CellStore):
     """A joint distribution over rows x cols, positive cells only.
 
     Stored as three parallel columns: cell k has mass ``values()[k]`` at
@@ -67,6 +103,8 @@ class SparseCoupling:
 
     # _checked: the field objects that _fill checked cell by cell
     __slots__ = ("n_rows", "n_cols", "rows", "cols", "_values", "_checked")
+    _ARGS = ("n_rows", "n_cols")
+    _KEY = ("n_rows", "n_cols", "rows", "cols", "_values")
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[CouplingEntry]) -> None:
         entries = tuple(entries)
@@ -75,37 +113,10 @@ class SparseCoupling:
         )
         _fill(self, n_rows, n_cols, rows, cols, values)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.n_rows, self.n_cols, self.rows, self.cols, self._values
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SparseCoupling:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"SparseCoupling(n_rows={self.n_rows!r}, n_cols={self.n_cols!r}, "
-                f"entries={self.entries!r})")
-
-    def __reduce__(self):
-        return SparseCoupling, (self.n_rows, self.n_cols, self.entries)
-
     @property
     def entries(self) -> tuple[CouplingEntry, ...]:
         """The cells as :class:`CouplingEntry` records, built on each access."""
         return tuple(map(CouplingEntry, self._values, self.rows, self.cols))
-
-    def values(self) -> tuple[float, ...]:
-        return self._values
 
 
 def _from_cells(n_rows: int, n_cols: int, cells: list[tuple[int, int, float]]) -> SparseCoupling:
@@ -125,34 +136,43 @@ def _all_within(index, n) -> bool:
     return all(map(operator.le, repeat(0), index)) and all(map(operator.lt, index, repeat(n)))
 
 
-def _first_bad_cell(n_rows, n_cols, rows, cols, values):
+def _cells(index, count: int):
+    # the cells' index tuples, in order; with no axes, ``count`` empty ones
+    return zip(*index) if index else repeat((), count)
+
+
+def _first_bad_cell(dims, index, values):
     """The first cell, in order, that is non-positive, not finite, out of
-    range or a repeat, as (kind, row, col, value) with kind "value",
-    "finite", "range" or "duplicate"; None if there is none.
+    range or a repeat, as (kind, k, axis): kind "value", "finite", "range" or
+    "duplicate", k its position, axis the first axis it is out of range on
+    (else None); None if there is none. Cell k has mass ``values[k]`` at
+    ``index[a][k]`` on axis a, which has ``dims[a]`` lines.
 
     One C-level pass per check clears the usual case: finite positive
-    values, indices in range, and cells in strictly increasing (row, col)
-    order, as the engines emit them, so that no cell can repeat. Anything
-    else, cells in another order included, is walked cell by cell. The walk
-    names the first bad cell and settles what the passes cannot, such as NaN.
+    values, indices in range, and cells in strictly increasing order, as the
+    engines emit them, so that no cell can repeat. Anything else, cells in
+    another order included, is walked cell by cell. The walk names the first
+    bad cell and settles what the passes cannot, such as NaN.
     """
     if not values:
         return None
     if (min(values) > 0.0 and all(map(math.isfinite, values))
-            and _all_within(rows, n_rows) and _all_within(cols, n_cols)
-            and all(map(operator.lt, zip(rows, cols), islice(zip(rows, cols), 1, None)))):
+            and all(map(_all_within, index, dims))
+            and all(map(operator.lt, _cells(index, len(values)),
+                        islice(_cells(index, len(values)), 1, None)))):
         return None
-    seen: set[tuple[int, int]] = set()
-    for value, row, col in zip(values, rows, cols):
+    seen = set()
+    for k, (value, cell) in enumerate(zip(values, _cells(index, len(values)))):
         if value <= 0.0:
-            return "value", row, col, value
+            return "value", k, None
         if not math.isfinite(value):
-            return "finite", row, col, value
-        if not (0 <= row < n_rows and 0 <= col < n_cols):
-            return "range", row, col, value
-        if (row, col) in seen:
-            return "duplicate", row, col, value
-        seen.add((row, col))
+            return "finite", k, None
+        for axis, (i, n) in enumerate(zip(cell, dims)):
+            if not 0 <= i < n:
+                return "range", k, axis
+        if cell in seen:
+            return "duplicate", k, None
+        seen.add(cell)
     return None
 
 
@@ -166,11 +186,11 @@ _CELL_ERRORS = {
 
 def _fill(m, n_rows, n_cols, rows, cols, values) -> None:
     # checks the columns and sets the fields of a new ``m``
-    bad = _first_bad_cell(n_rows, n_cols, rows, cols, values)
+    bad = _first_bad_cell((n_rows, n_cols), (rows, cols), values)
     if bad is not None:
-        kind, row, col, value = bad
+        kind, k, _ = bad
         raise ValueError(_CELL_ERRORS[kind].format(
-            row=row, col=col, value=value, n_rows=n_rows, n_cols=n_cols))
+            row=rows[k], col=cols[k], value=values[k], n_rows=n_rows, n_cols=n_cols))
     if len(values) > 2 * max(n_rows, n_cols):
         raise ValueError(
             f"{len(values)} entries exceed the 2*max(n_rows, n_cols) support bound"
@@ -278,14 +298,14 @@ def _prepare(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
 ) -> tuple[Distribution, Distribution, bool, int, int]:
-    """Coerce, pad, and decide the role swap.
+    """Coerce, rescale (:func:`_unit`), pad, and decide the role swap.
 
     The greedy walk requires the first marginal to dominate at the last index
     where the sorted masses differ; when it does not, roles are swapped and
     the output is transposed back afterwards.
     """
-    dp = as_distribution(p)
-    dq = as_distribution(q)
+    dp = _unit(as_distribution(p))
+    dq = _unit(as_distribution(q))
     n_rows, n_cols = dp.n, dq.n
     n = max(dp.n, dq.n)
     dp = dp.padded(n)
@@ -298,6 +318,20 @@ def _prepare(
     if swapped:
         dp, dq = dq, dp
     return dp, dq, swapped, n_rows, n_cols
+
+
+def _unit(d: Distribution) -> Distribution:
+    # masses within the caller's tol of 1 but off by more than INTERNAL_TOL
+    # would overflow the walk's lines: divide them by their total, which
+    # keeps the order. A total that is not finite and positive is glb's to
+    # reject, as is a mass that makes fsum raise
+    try:
+        total = math.fsum(d.masses)
+    except (OverflowError, ValueError):
+        return d
+    if abs(total - 1.0) <= INTERNAL_TOL or not 0.0 < total < math.inf:
+        return d
+    return _sorted_distribution(tuple(x / total for x in d.masses), d.perm)
 
 
 def _finish(
@@ -540,6 +574,15 @@ _CELL_DIAGNOSTICS = {
 }
 
 
+def _line_sums(index, values, n: int) -> list[float]:
+    """The exact sum of each of ``n`` lines: one ``fsum`` over the values of
+    the cells whose index is that line."""
+    lines: list[list[float]] = [[] for _ in range(n)]
+    for k, value in zip(index, values):
+        lines[k].append(value)
+    return list(map(math.fsum, lines))
+
+
 def _lines_pass(index, values, n: int, target, tol: float) -> bool:
     """True if every line's exact sum is within ``tol`` of its target.
 
@@ -602,10 +645,10 @@ def is_valid_coupling(
     # sends the cells through the check again
     checked = getattr(m, "_checked", None)
     if checked is None or not all(map(operator.is_, fields, checked)):
-        bad = _first_bad_cell(*fields)
+        bad = _first_bad_cell((m.n_rows, m.n_cols), (rows, cols), values)
         if bad is not None:
-            kind, row, col, value = bad
-            return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
+            kind, k, _ = bad
+            return False, _CELL_DIAGNOSTICS[kind].format(row=rows[k], col=cols[k], value=values[k])
     for name, index, n, target in (
         ("row", rows, m.n_rows, tp),
         ("column", cols, m.n_cols, tq),
@@ -614,10 +657,7 @@ def is_valid_coupling(
         # cannot clear sends its side to the exact fsum per line
         if _lines_pass(index, values, n, target, tol):
             continue
-        lines: list[list[float]] = [[] for _ in range(n)]
-        for k, value in zip(index, values):
-            lines[k].append(value)
-        totals = list(map(math.fsum, lines))
+        totals = _line_sums(index, values, n)
         # NaN-safe: a NaN total or target is off by more than any tol
         off = map(abs, map(operator.sub, totals, target))
         if not all(map(operator.le, off, repeat(tol))):

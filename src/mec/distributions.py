@@ -154,13 +154,8 @@ def _caller_masses(
     # one C-level pass accepts the common case; only a vector that needs a
     # diagnostic or a clamp is walked component by component
     if not (all(map(math.isfinite, values)) and min(values) >= 0.0):
-        for i, x in enumerate(values):
-            if not math.isfinite(x):
-                raise InputError(f"component {i} is not finite: {x!r}")
-            if x < -INTERNAL_TOL:
-                raise NegativeMassError(f"component {i} is negative: {x!r}")
-            if x < 0.0:
-                values[i] = 0.0
+        _reject_bad_components(values)
+        values = [x if x >= 0.0 else 0.0 for x in values]
     try:
         total = math.fsum(values)
     except OverflowError as exc:
@@ -192,8 +187,14 @@ def _caller_order(d: Distribution | Sequence[float], tol: float = NORMALIZATION_
 def _sorted_masses(d: Distribution | Sequence[float]) -> Sequence[float]:
     """Masses in non-increasing order: a :class:`Distribution`'s own, or raw
     masses after the checks of :func:`make_distribution`, which are the floats
-    of its ``masses`` in the same order (both are stable reverse sorts)."""
-    return d.masses if isinstance(d, Distribution) else sorted(_caller_masses(d), reverse=True)
+    of its ``masses`` in the same order (both are stable reverse sorts). A
+    NaN or infinite mass, which the constructor lets through, raises
+    :class:`InputError` either way."""
+    if not isinstance(d, Distribution):
+        return sorted(_caller_masses(d), reverse=True)
+    if not all(map(math.isfinite, d.masses)):
+        _reject_bad_components(d.masses, negative=False)
+    return d.masses
 
 
 def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
@@ -207,12 +208,18 @@ def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
     # component, as make_distribution does
     if not (all(map(math.isfinite, values))
             and (len(out) == len(values) or min(values) >= -INTERNAL_TOL)):
-        for i, x in enumerate(values):
-            if not math.isfinite(x):
-                raise InputError(f"component {i} is not finite: {x!r}")
-            if x < -INTERNAL_TOL:
-                raise NegativeMassError(f"component {i} is negative: {x!r}")
+        _reject_bad_components(values)
     return out
+
+
+def _reject_bad_components(values: Sequence[float], negative: bool = True) -> None:
+    # names the first component that is NaN or infinite or, if ``negative``,
+    # below -INTERNAL_TOL
+    for i, x in enumerate(values):
+        if not math.isfinite(x):
+            raise InputError(f"component {i} is not finite: {x!r}")
+        if negative and x < -INTERNAL_TOL:
+            raise NegativeMassError(f"component {i} is negative: {x!r}")
 
 
 def shannon_entropy(d: Distribution | Sequence[float]) -> float:

@@ -6,18 +6,25 @@ their tags, so every tag carries one coordinate per leaf below the node.
 Adjacent nodes merge level by level and an odd last node moves up a level
 unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
 its budget at most once per level, giving H <= H(glb of all marginals) +
-ceil(log2 k) at the root.
+ceil(log2 k) at the root. The root's cells are sorted by tag once and
+transposed into the index columns of a :class:`SparseJoint`, which shares
+its cell check with ``SparseCoupling``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, repeat
+from itertools import repeat
 
-from .coupling import min_entropy_coupling_sparse
+from .coupling import (
+    _cells,
+    _CellStore,
+    _first_bad_cell,
+    _line_sums,
+    min_entropy_coupling_sparse,
+)
 from .distributions import (
     Distribution,
     as_distribution,
@@ -35,69 +42,80 @@ class JointEntry:
     coords: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SparseJoint:
+class SparseJoint(_CellStore):
     """A joint distribution over a k-fold product space, positive cells only.
 
-    :func:`min_entropy_joint_k` emits its entries sorted by coordinates.
+    Stored as one index column per axis plus the values: cell k has mass
+    ``values()[k]`` at ``columns[a][k]`` on axis a, in caller coordinates.
+    :func:`min_entropy_joint_k` emits its cells sorted by coordinates; the
+    public constructor keeps the order it is given.
     """
 
-    dims: tuple[int, ...]
-    entries: tuple[JointEntry, ...]
+    __slots__ = ("dims", "columns", "_values")
+    _ARGS = ("dims",)
+    _KEY = ("dims", "columns", "_values")
 
-    def __post_init__(self) -> None:
-        # One C-level pass per check clears the usual case: finite positive
-        # values, coordinates that are tuples with one per axis, each in
-        # range, and in strictly increasing order, as the engine emits them,
-        # so that none can repeat. Anything else, entries in another order
-        # included, is walked entry by entry; the walk names the first bad
-        # entry and settles what the passes cannot, such as a NaN coordinate.
-        values = list(map(_VALUE, self.entries))
-        coords = list(map(_COORDS, self.entries))
-        if not values or (
-            min(values) > 0.0
-            and all(map(math.isfinite, values))
-            and all(map(isinstance, coords, repeat(tuple)))
-            and all(map(operator.eq, map(len, coords), repeat(len(self.dims))))
-            # every entry has one coordinate per axis, so the flattened
-            # coordinates line up with the cycled dims; each is compared
-            # one by one, as min and max can skip a NaN
-            and all(map(operator.le, repeat(0), chain.from_iterable(coords)))
-            and all(map(operator.lt, chain.from_iterable(coords), cycle(self.dims)))
-            and all(map(operator.lt, coords, islice(coords, 1, None)))
-        ):
-            return
-        seen: set[tuple[int, ...]] = set()
-        for e in self.entries:
-            if e.value <= 0.0:
-                raise ValueError(f"entry {e.coords} must be positive, got {e.value!r}")
-            if not math.isfinite(e.value):
-                raise ValueError(f"entry {e.coords} must be finite, got {e.value!r}")
-            if len(e.coords) != len(self.dims):
-                raise ValueError(f"entry {e.coords} does not have {len(self.dims)} coordinates")
-            for axis, (c, d) in enumerate(zip(e.coords, self.dims)):
-                if not 0 <= c < d:
-                    raise ValueError(f"entry {e.coords} out of range on axis {axis}")
-            if e.coords in seen:
-                raise ValueError(f"duplicate entry at {e.coords}")
-            seen.add(e.coords)
+    def __init__(self, dims: tuple[int, ...], entries: Iterable[JointEntry]) -> None:
+        entries = tuple(entries)
+        coords = list(map(operator.attrgetter("coords"), entries))
+        values = tuple(map(operator.attrgetter("value"), entries))
+        k = len(dims)
+        # the columns keep only indices, so each entry whose coordinates are
+        # not a tuple with one per axis is settled first, in entry order: the
+        # entries before it, its value alone, its arity, its range, its hash
+        while not (all(map(isinstance, coords, repeat(tuple)))
+                   and all(map(operator.eq, map(len, coords), repeat(k)))):
+            j = next(j for j, c in enumerate(coords) if not isinstance(c, tuple) or len(c) != k)
+            c, lone = coords[j], values[j:j + 1]
+            _check(dims, _columns(coords[:j], k), values[:j])
+            _check((1,), ((0,),), lone, c)
+            if len(c) != k:
+                raise ValueError(f"entry {c} does not have {k} coordinates")
+            _check(dims, tuple(zip(c)), lone, c)
+            hash(c)
+            coords[j] = tuple(c)
+        _fill(self, dims, _columns(coords, k), values)
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(map(_VALUE, self.entries))
+    @property
+    def entries(self) -> tuple[JointEntry, ...]:
+        """The cells as :class:`JointEntry` records, built on each access."""
+        return tuple(map(JointEntry, self._values, _cells(self.columns, len(self._values))))
 
 
-_VALUE = operator.attrgetter("value")
-_COORDS = operator.attrgetter("coords")
+def _columns(coords: Sequence[tuple[int, ...]], k: int) -> tuple[tuple[int, ...], ...]:
+    # k index columns of k-tuples, k of them even when there are none
+    return tuple(tuple(map(operator.itemgetter(a), coords)) for a in range(k))
+
+
+_ENTRY_ERRORS = {
+    "value": "entry {coords} must be positive, got {value!r}",
+    "finite": "entry {coords} must be finite, got {value!r}",
+    "range": "entry {coords} out of range on axis {axis}",
+    "duplicate": "duplicate entry at {coords}",
+}
+
+
+def _check(dims, columns, values, coords=None) -> None:
+    # raises for the first bad cell, named by ``coords`` if given
+    bad = _first_bad_cell(dims, columns, values)
+    if bad is not None:
+        kind, k, axis = bad
+        coords = tuple(column[k] for column in columns) if coords is None else coords
+        raise ValueError(_ENTRY_ERRORS[kind].format(coords=coords, value=values[k], axis=axis))
+
+
+def _fill(j: SparseJoint, dims, columns, values) -> None:
+    # checks the columns and sets the fields of a new ``j``
+    _check(dims, columns, values)
+    for name, value in zip(SparseJoint.__slots__, (dims, columns, values)):
+        object.__setattr__(j, name, value)
 
 
 def axis_marginals(joint: SparseJoint) -> tuple[tuple[float, ...], ...]:
     """Sum the joint down to each axis, in caller index order."""
-    sums = [[[] for _ in range(d)] for d in joint.dims]
-    for e in joint.entries:
-        for axis, c in enumerate(e.coords):
-            sums[axis][c].append(e.value)
+    values = joint.values()
     return tuple(
-        tuple(math.fsum(cell) for cell in axis_cells) for axis_cells in sums
+        tuple(_line_sums(column, values, d)) for column, d in zip(joint.columns, joint.dims)
     )
 
 
@@ -187,9 +205,14 @@ def min_entropy_joint_k(
         # by mass once, here
         nodes = list(map(_by_mass, cells)) + nodes[rest]
 
-    # the root's cells are sorted once, by coordinates, which never repeat
+    # the root's cells are sorted once, by coordinates, which never repeat,
+    # and transposed into one index column per axis
     values, tags = cells[0]
-    return SparseJoint(dims, tuple(JointEntry(v, c) for c, v in sorted(zip(tags, values))))
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    joint = object.__new__(SparseJoint)
+    _fill(joint, dims, _columns(list(map(tags.__getitem__, order)), len(dims)),
+          tuple(map(values.__getitem__, order)))
+    return joint
 
 
 def joint_lower_bound_k(ds: Sequence[Distribution | Sequence[float]]) -> float:

@@ -658,10 +658,10 @@ def reference_is_valid_coupling(m, p, q, tol=mec.NORMALIZATION_TOL):
     if m.n_cols != dq.n:
         return False, f"n_cols is {m.n_cols}, second marginal has {dq.n} components"
     rows, cols, values = m.rows, m.cols, m.values()
-    bad = _first_bad_cell(m.n_rows, m.n_cols, rows, cols, values)
+    bad = _first_bad_cell((m.n_rows, m.n_cols), (rows, cols), values)
     if bad is not None:
-        kind, row, col, value = bad
-        return False, _CELL_DIAGNOSTICS[kind].format(row=row, col=col, value=value)
+        kind, k, _ = bad
+        return False, _CELL_DIAGNOSTICS[kind].format(row=rows[k], col=cols[k], value=values[k])
     for name, index, n, target in (
         ("row", rows, m.n_rows, dp.to_caller_order()),
         ("column", cols, m.n_cols, dq.to_caller_order()),
@@ -1117,3 +1117,26 @@ class TestMassPoolMatchesTheReference:
                 assert pool.drain() == ref.drain()
             assert pool_state(pool) == pool_state(ref)
             assert pool.total.hex() == ref.total.hex()
+
+
+class TestMarginalsScaledWithinTheTolerance:
+    """Marginals that sum to 1 within NORMALIZATION_TOL but not within
+    INTERNAL_TOL are rescaled by the engines, so every accepted pair
+    couples validly at the default tolerance."""
+
+    @staticmethod
+    def scaled(rng: random.Random, n: int, factor: float) -> list[float]:
+        weights = [rng.random() for _ in range(n)]
+        total = math.fsum(weights)
+        return [w / total * factor for w in weights]
+
+    def test_scaled_pairs_couple_validly_in_both_engines(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            n, m = rng.randint(1, 30), rng.randint(1, 30)
+            p = self.scaled(rng, n, 1.0 + 9e-10)
+            q = self.scaled(rng, m, 1.0 - 9e-10)
+            sparse = mec.min_entropy_coupling_sparse(p, q)
+            assert mec.is_valid_coupling(sparse, p, q) == (True, "ok"), seed
+            assert engine_outcome(mec.min_entropy_coupling_dense, p, q) == engine_outcome(
+                mec.min_entropy_coupling_sparse, p, q), seed

@@ -262,6 +262,29 @@ class TestGlbOnInvalidRawInput:
         assert raised(mec.glb, p, q) == raised(mec.make_distribution, p)
         assert raised(mec.majorizes, p, q) == raised(mec.make_distribution, p)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # the Distribution constructor lets a NaN through its order check
+            (mec.Distribution((0.5, math.nan, 0.5), (0, 1, 2)), "component 1 is not finite: nan"),
+            (mec.Distribution((math.inf, 0.5), (1, 0)), "component 0 is not finite: inf"),
+            (mec.Distribution((0.5, 0.5, -math.inf), (0, 1, 2)),
+             "component 2 is not finite: -inf"),
+        ],
+        ids=["nan", "inf", "minus-inf"],
+    )
+    def test_a_distribution_with_a_non_finite_mass(self, bad, message):
+        # named by its position in the masses, as shannon_entropy names it;
+        # raw input gets the same message
+        want = (mec.InputError, message)
+        good = mec.make_distribution(self.GOOD)
+        for f in (mec.glb, mec.majorizes, mec.kl_divergence):
+            for args in ((bad, self.GOOD), (self.GOOD, bad), (bad, good), (good, bad), (bad, bad)):
+                assert raised(f, *args) == want
+        assert raised(mec.shannon_entropy, bad) == want
+        for engine in (mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse):
+            assert raised(engine, bad, self.GOOD) == want
+
 
 class TestGlbMany:
     def test_single_input_returned(self):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -32,6 +34,56 @@ class TestSparseJointType:
         entries = (mec.JointEntry(0.5, (0, 0)), mec.JointEntry(0.5, (0, 0)))
         with pytest.raises(ValueError):
             mec.SparseJoint((2, 2), entries)
+
+    def test_value_semantics(self):
+        rng = random.Random(141)
+        j = mec.min_entropy_joint_k([random_masses(rng, 4) for _ in range(3)])
+        rebuilt = mec.SparseJoint(j.dims, tuple(j.entries))
+        assert rebuilt == j and hash(rebuilt) == hash(j)
+        assert j != mec.SparseJoint(j.dims + (1,), tuple(
+            mec.JointEntry(e.value, e.coords + (0,)) for e in j.entries))
+        assert j != mec.SparseJoint(j.dims, j.entries[::-1])
+        assert repr(j) == f"SparseJoint(dims={j.dims!r}, entries={j.entries!r})"
+        assert repr(mec.SparseJoint((2, 1), (mec.JointEntry(1.0, (1, 0)),))) == (
+            "SparseJoint(dims=(2, 1), entries=(JointEntry(value=1.0, coords=(1, 0)),))"
+        )
+        for copied in (pickle.loads(pickle.dumps(j)), copy.copy(j), copy.deepcopy(j)):
+            assert copied == j and copied.values() == j.values()
+            assert copied.entries == j.entries
+        with pytest.raises(AttributeError):
+            j.dims = (1,)
+        with pytest.raises(AttributeError):
+            del j.dims
+
+
+class TestSparseJointColumns:
+    """One index column per axis and a values tuple; the records are built
+    from them on each access."""
+
+    def test_columns_hold_the_entries(self):
+        cells = [(0.5, (1, 1, 0)), (0.25, (0, 1, 2)), (0.25, (0, 0, 1))]
+        j = mec.SparseJoint((2, 2, 3), [mec.JointEntry(v, c) for v, c in cells])
+        assert j.columns == ((1, 0, 0), (1, 1, 0), (0, 2, 1))
+        assert j.values() == (0.5, 0.25, 0.25)
+        assert j.entries == tuple(mec.JointEntry(v, c) for v, c in cells)
+        assert j.entries is not j.entries
+
+    def test_engine_output_equals_the_public_constructor(self):
+        rng = random.Random(143)
+        for k in range(2, 8):
+            j = mec.min_entropy_joint_k([random_masses(rng, rng.randint(1, 6)) for _ in range(k)])
+            assert len(j.columns) == k
+            assert all(len(column) == len(j.values()) for column in j.columns)
+            rebuilt = mec.SparseJoint(j.dims, j.entries)
+            assert rebuilt == j and rebuilt.columns == j.columns
+
+    def test_coordinates_that_are_not_tuples_are_read_as_tuples(self):
+        # a hashable sequence with one index per axis is accepted, as before,
+        # and named as given when it is out of range
+        with pytest.raises(ValueError, match=r"^entry range\(1, 3\) out of range on axis 1$"):
+            mec.SparseJoint((2, 2), [mec.JointEntry(1.0, range(1, 3))])
+        j = mec.SparseJoint((2, 3), [mec.JointEntry(1.0, range(1, 3))])
+        assert j.entries == (mec.JointEntry(1.0, (1, 2)),)
 
 
 class TestSparseJointChecks:
@@ -79,9 +131,33 @@ class TestSparseJointChecks:
         with pytest.raises(ValueError, match=r"^duplicate entry at \(0, 0\)$"):
             mec.SparseJoint((2, 2), entries)
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # an entry of the wrong arity does not hide a bad entry before it
+            ([(-1.0, (0, 0)), (0.5, (1, 0, 0))], "entry (0, 0) must be positive, got -1.0"),
+            ([(0.5, (0, 0)), (0.5, (0, 0)), (0.5, (1,))], "duplicate entry at (0, 0)"),
+            # within one entry, the value is checked before the arity
+            ([(0.0, (1, 0, 0))], "entry (1, 0, 0) must be positive, got 0.0"),
+            ([(0.5, (0, 0)), (math.nan, (1,))], "entry (1,) must be finite, got nan"),
+            # coordinates that are not a tuple are named as given
+            ([(0.5, (0, 0)), (0.5, [0, 5])], "entry [0, 5] out of range on axis 1"),
+            ([(-0.5, [0, 1])], "entry [0, 1] must be positive, got -0.5"),
+            ([(0.5, [0, 1, 1])], "entry [0, 1, 1] does not have 2 coordinates"),
+        ],
+        ids=["bad-before-long", "repeat-before-short", "value-before-arity",
+             "nan-before-arity", "list-out-of-range", "list-value", "list-arity"],
+    )
+    def test_names_the_first_bad_entry_in_entry_order(self, cells, message):
+        entries = [mec.JointEntry(v, c) for v, c in cells]
+        with pytest.raises(ValueError) as exc:
+            mec.SparseJoint((2, 2), entries)
+        assert str(exc.value) == message
+
     def test_unhashable_coordinates_are_a_type_error(self):
-        # the walk's set of seen coordinates rejects a list, sorted or not
-        for cells in ([(0.5, (0, 0)), (0.5, [0, 1])], [(0.5, [0, 1]), (0.5, (0, 0))]):
+        # a list of coordinates is rejected, sorted or not, wherever it stands
+        for cells in ([(0.5, (0, 0)), (0.5, [0, 1])], [(0.5, [0, 1]), (0.5, (0, 0))],
+                      [(0.5, [1, 1])], [(0.25, (0, 0)), (0.25, [0, 1]), (0.5, (1, 1))]):
             entries = tuple(mec.JointEntry(v, c) for v, c in cells)
             with pytest.raises(TypeError, match="unhashable"):
                 mec.SparseJoint((2, 2), entries)
@@ -92,6 +168,13 @@ class TestSparseJointChecks:
             entries = tuple(mec.JointEntry(v, c) for v, c in order)
             assert mec.SparseJoint((2, 2), entries).entries == entries
         assert mec.SparseJoint((2, 2), ()).values() == ()
+
+    def test_no_entries(self):
+        j = mec.SparseJoint((2, 3), ())
+        assert j.entries == () and j.values() == ()
+        assert j.columns == ((), ())
+        assert mec.axis_marginals(j) == ((0.0, 0.0), (0.0, 0.0, 0.0))
+        assert j == mec.SparseJoint((2, 3), [])
 
 
 class TestAxisMarginals:
@@ -224,3 +307,19 @@ class TestFrlBounds:
             b = mec.frl_bounds(ds)
             h = mec.shannon_entropy(mec.min_entropy_joint_k(ds).values())
             assert b.lower - 1e-9 <= h <= b.upper + 1e-9
+
+
+def test_scaled_marginals_keep_their_axis_marginals():
+    # marginals off 1 by up to 9e-10, within the default tolerance: every
+    # merge rescales its inputs, and the root's axis marginals stay within it
+    for seed in range(60):
+        rng = random.Random(seed)
+        ds = []
+        for _ in range(rng.randint(2, 7)):
+            weights = [rng.random() for _ in range(rng.randint(1, 30))]
+            factor = 1.0 + rng.choice((-9e-10, 9e-10))
+            total = math.fsum(weights)
+            ds.append([w / total * factor for w in weights])
+        j = mec.min_entropy_joint_k(ds)
+        for got, want in zip(mec.axis_marginals(j), ds):
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, seed
