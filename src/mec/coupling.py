@@ -323,8 +323,9 @@ def _prepare(
 def _unit(d: Distribution) -> Distribution:
     # masses within the caller's tol of 1 but off by more than INTERNAL_TOL
     # would overflow the walk's lines: divide them by their total, which
-    # keeps the order. A total that is not finite and positive is glb's to
-    # reject, as is a mass that makes fsum raise
+    # keeps the order. A total that fsum cannot form, or that is not finite
+    # and positive, leaves the masses as they are (glb rejects a NaN or
+    # infinite one)
     try:
         total = math.fsum(d.masses)
     except (OverflowError, ValueError):
