@@ -161,12 +161,20 @@ def _first_bad_cell(dims, index, values):
             and all(map(operator.lt, _cells(index, len(values)),
                         islice(_cells(index, len(values)), 1, None)))):
         return None
+    return _bad_cell_walk(dims, _cells(index, len(values)), values)
+
+
+def _bad_cell_walk(dims, cells, values):
+    # the walk of _first_bad_cell over the cells' index sequences, in order;
+    # a cell with the wrong number of indices is kind "arity"
     seen = set()
-    for k, (value, cell) in enumerate(zip(values, _cells(index, len(values)))):
+    for k, (value, cell) in enumerate(zip(values, cells)):
         if value <= 0.0:
             return "value", k, None
         if not math.isfinite(value):
             return "finite", k, None
+        if len(cell) != len(dims):
+            return "arity", k, None
         for axis, (i, n) in enumerate(zip(cell, dims)):
             if not 0 <= i < n:
                 return "range", k, axis
@@ -321,16 +329,15 @@ def _prepare(
 
 
 def _unit(d: Distribution) -> Distribution:
-    # masses within the caller's tol of 1 but off by more than INTERNAL_TOL
+    # masses off 1 by more than INTERNAL_TOL but within NORMALIZATION_TOL
     # would overflow the walk's lines: divide them by their total, which
-    # keeps the order. A total that fsum cannot form, or that is not finite
-    # and positive, leaves the masses as they are (glb rejects a NaN or
-    # infinite one)
+    # keeps the order. Any other total, or one fsum cannot form, leaves the
+    # masses as they are
     try:
         total = math.fsum(d.masses)
     except (OverflowError, ValueError):
         return d
-    if abs(total - 1.0) <= INTERNAL_TOL or not 0.0 < total < math.inf:
+    if not INTERNAL_TOL < abs(total - 1.0) <= NORMALIZATION_TOL:
         return d
     return _sorted_distribution(tuple(x / total for x in d.masses), d.perm)
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .coupling import (
+    _bad_cell_walk,
     _cells,
     _CellStore,
     _first_bad_cell,
     _line_sums,
+    _unit,
     min_entropy_coupling_sparse,
 )
 from .distributions import (
@@ -57,24 +59,8 @@ class SparseJoint(_CellStore):
 
     def __init__(self, dims: tuple[int, ...], entries: Iterable[JointEntry]) -> None:
         entries = tuple(entries)
-        coords = list(map(operator.attrgetter("coords"), entries))
-        values = tuple(map(operator.attrgetter("value"), entries))
-        k = len(dims)
-        # the columns keep only indices, so each entry whose coordinates are
-        # not a tuple with one per axis is settled first, in entry order: the
-        # entries before it, its value alone, its arity, its range, its hash
-        while not (all(map(isinstance, coords, repeat(tuple)))
-                   and all(map(operator.eq, map(len, coords), repeat(k)))):
-            j = next(j for j, c in enumerate(coords) if not isinstance(c, tuple) or len(c) != k)
-            c, lone = coords[j], values[j:j + 1]
-            _check(dims, _columns(coords[:j], k), values[:j])
-            _check((1,), ((0,),), lone, c)
-            if len(c) != k:
-                raise ValueError(f"entry {c} does not have {k} coordinates")
-            _check(dims, tuple(zip(c)), lone, c)
-            hash(c)
-            coords[j] = tuple(c)
-        _fill(self, dims, _columns(coords, k), values)
+        _fill(self, dims, tuple(map(operator.attrgetter("coords"), entries)),
+              tuple(map(operator.attrgetter("value"), entries)))
 
     @property
     def entries(self) -> tuple[JointEntry, ...]:
@@ -82,33 +68,35 @@ class SparseJoint(_CellStore):
         return tuple(map(JointEntry, self._values, _cells(self.columns, len(self._values))))
 
 
-def _columns(coords: Sequence[tuple[int, ...]], k: int) -> tuple[tuple[int, ...], ...]:
-    # k index columns of k-tuples, k of them even when there are none
-    return tuple(tuple(map(operator.itemgetter(a), coords)) for a in range(k))
-
-
 _ENTRY_ERRORS = {
     "value": "entry {coords} must be positive, got {value!r}",
     "finite": "entry {coords} must be finite, got {value!r}",
+    "arity": "entry {coords} does not have {k} coordinates",
     "range": "entry {coords} out of range on axis {axis}",
     "duplicate": "duplicate entry at {coords}",
 }
 
 
-def _check(dims, columns, values, coords=None) -> None:
-    # raises for the first bad cell, named by ``coords`` if given
-    bad = _first_bad_cell(dims, columns, values)
+def _fill(joint: SparseJoint, dims, coords, values) -> None:
+    # checks the cells and sets the fields of a new ``joint``
+    k = len(dims)
+    if (all(map(isinstance, coords, repeat(tuple)))
+            and all(map(operator.eq, map(len, coords), repeat(k)))):
+        columns = tuple(zip(*coords)) or ((),) * k
+        bad = _first_bad_cell(dims, columns, values)
+    else:
+        # the columns would lose what is odd about such coordinates: they are
+        # walked as given, so the first bad entry is named as given and a list
+        # is unhashable; a hashable sequence of one index per axis is read as
+        # a tuple
+        bad = _bad_cell_walk(dims, coords, values)
+        columns = None if bad else tuple(zip(*coords))
     if bad is not None:
-        kind, k, axis = bad
-        coords = tuple(column[k] for column in columns) if coords is None else coords
-        raise ValueError(_ENTRY_ERRORS[kind].format(coords=coords, value=values[k], axis=axis))
-
-
-def _fill(j: SparseJoint, dims, columns, values) -> None:
-    # checks the columns and sets the fields of a new ``j``
-    _check(dims, columns, values)
+        kind, i, axis = bad
+        raise ValueError(_ENTRY_ERRORS[kind].format(
+            coords=coords[i], value=values[i], axis=axis, k=k))
     for name, value in zip(SparseJoint.__slots__, (dims, columns, values)):
-        object.__setattr__(j, name, value)
+        object.__setattr__(joint, name, value)
 
 
 def axis_marginals(joint: SparseJoint) -> tuple[tuple[float, ...], ...]:
@@ -178,7 +166,9 @@ def min_entropy_joint_k(
         raise EmptyError("no distributions to couple")
     if len(ds) == 1:
         raise TooFewError("coupling requires at least two distributions")
-    dists = [as_distribution(d) for d in ds]
+    # masses off 1 within the tolerance are rescaled here, once, so that the
+    # merges and the debug witness see the same leaves
+    dists = [_unit(as_distribution(d)) for d in ds]
     dims = tuple(d.n for d in dists)
 
     nodes = [_leaf(d) for d in dists]
@@ -210,8 +200,7 @@ def min_entropy_joint_k(
     values, tags = cells[0]
     order = sorted(range(len(tags)), key=tags.__getitem__)
     joint = object.__new__(SparseJoint)
-    _fill(joint, dims, _columns(list(map(tags.__getitem__, order)), len(dims)),
-          tuple(map(values.__getitem__, order)))
+    _fill(joint, dims, list(map(tags.__getitem__, order)), tuple(map(values.__getitem__, order)))
     return joint
 
 

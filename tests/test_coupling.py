@@ -1140,3 +1140,23 @@ class TestMarginalsScaledWithinTheTolerance:
             assert mec.is_valid_coupling(sparse, p, q) == (True, "ok"), seed
             assert engine_outcome(mec.min_entropy_coupling_dense, p, q) == engine_outcome(
                 mec.min_entropy_coupling_sparse, p, q), seed
+
+    @pytest.mark.parametrize(
+        "engine", [mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse])
+    def test_a_distribution_off_by_more_than_the_tolerance_is_not_rescaled(self, engine):
+        # a hand-built Distribution far from 1 reaches glb as given, which
+        # rejects it, on either side
+        off = mec.Distribution((0.6, 0.3), (0, 1))
+        fair = mec.Distribution((0.5, 0.5), (0, 1))
+        for p, q in ((off, fair), (fair, off), (off, [0.5, 0.5])):
+            with pytest.raises(mec.NotNormalizedError, match=r"^masses sum to 0\.8999999999999999,"):
+                engine(p, q)
+        with pytest.raises(mec.NotNormalizedError):
+            mec.min_entropy_joint_k([off, fair, fair])
+
+    def test_a_distribution_within_the_internal_tolerance_is_left_alone(self):
+        # off 1 by at most INTERNAL_TOL: coupled as given, bit for bit
+        masses = (0.5 + 2.0**-42, 0.5)
+        d = mec.Distribution(masses, (0, 1))
+        m = mec.min_entropy_coupling_sparse(d, d)
+        assert [v.hex() for v in m.values()] == [x.hex() for x in masses]

@@ -310,8 +310,10 @@ class TestFrlBounds:
 
 
 def test_scaled_marginals_keep_their_axis_marginals():
-    # marginals off 1 by up to 9e-10, within the default tolerance: every
-    # merge rescales its inputs, and the root's axis marginals stay within it
+    # marginals off 1 by up to 9e-10, within the default tolerance, are
+    # rescaled once at the leaves: the root's axis marginals stay within it,
+    # and every merge meets its debug witness, which is built from the same
+    # rescaled leaves
     for seed in range(60):
         rng = random.Random(seed)
         ds = []
@@ -320,6 +322,7 @@ def test_scaled_marginals_keep_their_axis_marginals():
             factor = 1.0 + rng.choice((-9e-10, 9e-10))
             total = math.fsum(weights)
             ds.append([w / total * factor for w in weights])
-        j = mec.min_entropy_joint_k(ds)
+        j = mec.min_entropy_joint_k(ds, debug=True)
+        assert j == mec.min_entropy_joint_k(ds), seed
         for got, want in zip(mec.axis_marginals(j), ds):
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, seed
