@@ -238,7 +238,12 @@ def _load_dists(ns: argparse.Namespace) -> list[list[float]]:
 
 def _dist(raw: list[float], field: str, ns: argparse.Namespace) -> Distribution:
     try:
-        return make_distribution(raw, renormalize=ns.renormalize, tol=ns.tol)
+        d = make_distribution(raw, renormalize=ns.renormalize, tol=ns.tol)
+        # the library checks marginals at NORMALIZATION_TOL: a total that a
+        # wider --tol accepted is divided out
+        if ns.tol > NORMALIZATION_TOL and abs(math.fsum(d.masses) - 1.0) > NORMALIZATION_TOL:
+            return make_distribution(raw, renormalize=True)
+        return d
     except InputError as exc:
         raise InputError(f"{field}: {exc}") from exc
 

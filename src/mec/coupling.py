@@ -12,7 +12,8 @@ capped at ``DENSE_CAP`` components per side, and serves as the reference the
 sparse engine is audited against. The sparse engine keeps only the moved
 masses, in two min-priority queues keyed by mass, and runs in O(n log n)
 overall. Both resolve every row/column overflow through the one greedy split,
-:meth:`MassPool.split`.
+:meth:`MassPool.split`. Each checks each marginal once, as raw masses are
+checked (a hand-built ``Distribution`` too), and never checks their glb.
 
 Both engines report coordinates in the caller's original index order for each
 marginal, regardless of the internal sorting and of the role swap applied
@@ -38,10 +39,11 @@ from .distributions import (
     Distribution,
     _caller_order,
     _sorted_distribution,
-    as_distribution,
+    _sorted_masses,
+    make_distribution,
 )
 from .errors import InfeasibleSplitError, InternalError, TooLargeError
-from .majorization import glb
+from .majorization import _glb
 
 DENSE_CAP = 2048
 
@@ -306,14 +308,14 @@ def _prepare(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
 ) -> tuple[Distribution, Distribution, bool, int, int]:
-    """Coerce, rescale (:func:`_unit`), pad, and decide the role swap.
+    """Coerce, check and rescale (:func:`_unit`), pad, and decide the role swap.
 
     The greedy walk requires the first marginal to dominate at the last index
     where the sorted masses differ; when it does not, roles are swapped and
     the output is transposed back afterwards.
     """
-    dp = _unit(as_distribution(p))
-    dq = _unit(as_distribution(q))
+    dp = _unit(p)
+    dq = _unit(q)
     n_rows, n_cols = dp.n, dq.n
     n = max(dp.n, dq.n)
     dp = dp.padded(n)
@@ -328,16 +330,15 @@ def _prepare(
     return dp, dq, swapped, n_rows, n_cols
 
 
-def _unit(d: Distribution) -> Distribution:
-    # masses off 1 by more than INTERNAL_TOL but within NORMALIZATION_TOL
-    # would overflow the walk's lines: divide them by their total, which
-    # keeps the order. Any other total, or one fsum cannot form, leaves the
-    # masses as they are
-    try:
-        total = math.fsum(d.masses)
-    except (OverflowError, ValueError):
-        return d
-    if not INTERNAL_TOL < abs(total - 1.0) <= NORMALIZATION_TOL:
+def _unit(d: Distribution | Sequence[float]) -> Distribution:
+    # checks a marginal once, raw or built, and divides masses off 1 by more
+    # than INTERNAL_TOL, which would overflow the walk's lines, by their total
+    if isinstance(d, Distribution):
+        _sorted_masses(d)
+    else:
+        d = make_distribution(d)
+    total = math.fsum(d.masses)
+    if abs(total - 1.0) <= INTERNAL_TOL:
         return d
     return _sorted_distribution(tuple(x / total for x in d.masses), d.perm)
 
@@ -405,8 +406,8 @@ def min_entropy_coupling_dense(
         raise TooLargeError(
             f"{n} components exceed the dense engine's cap of {DENSE_CAP}; use the sparse engine"
         )
-    z = glb(dp, dq).masses
     pm, qm = dp.masses, dq.masses
+    z = _glb(pm, qm).masses
     grid = [[0.0] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = z[i]
@@ -479,8 +480,8 @@ def min_entropy_coupling_sparse(
     """
     dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
     n = dp.n
-    z = glb(dp, dq).masses
     pm, qm = dp.masses, dq.masses
+    z = _glb(pm, qm).masses
     q_col = MassPool()
     q_row = MassPool()
     col_heap, row_heap = q_col._heap, q_row._heap

@@ -185,15 +185,13 @@ def _caller_order(d: Distribution | Sequence[float], tol: float = NORMALIZATION_
 
 
 def _sorted_masses(d: Distribution | Sequence[float]) -> Sequence[float]:
-    """Masses in non-increasing order: a :class:`Distribution`'s own, or raw
-    masses after the checks of :func:`make_distribution`, which are the floats
-    of its ``masses`` in the same order (both are stable reverse sorts). A
-    NaN or infinite mass, which the constructor lets through, raises
-    :class:`InputError` either way."""
+    """Masses in non-increasing order, checked as a marginal: raw masses
+    after the checks of :func:`make_distribution`, which are the floats of
+    its ``masses`` in the same order (both are stable reverse sorts), or a
+    :class:`Distribution`'s own, unchanged, if they pass the same checks."""
     if not isinstance(d, Distribution):
         return sorted(_caller_masses(d), reverse=True)
-    if not all(map(math.isfinite, d.masses)):
-        _reject_bad_components(d.masses, negative=False)
+    _caller_masses(d.masses)
     return d.masses
 
 
@@ -212,13 +210,12 @@ def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
     return out
 
 
-def _reject_bad_components(values: Sequence[float], negative: bool = True) -> None:
-    # names the first component that is NaN or infinite or, if ``negative``,
-    # below -INTERNAL_TOL
+def _reject_bad_components(values: Sequence[float]) -> None:
+    # names the first component that is NaN or infinite or below -INTERNAL_TOL
     for i, x in enumerate(values):
         if not math.isfinite(x):
             raise InputError(f"component {i} is not finite: {x!r}")
-        if negative and x < -INTERNAL_TOL:
+        if x < -INTERNAL_TOL:
             raise NegativeMassError(f"component {i} is negative: {x!r}")
 
 

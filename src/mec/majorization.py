@@ -5,7 +5,8 @@ when every prefix sum of ``a`` is at most the matching prefix sum of ``b``.
 Under this order the sorted vectors form a lattice; the greatest lower bound
 is computed by differencing the componentwise minima of the two prefix-sum
 vectors. Entropy is Schur-concave, so the glb is the entropy ceiling of the
-pair and drives every bound in this package.
+pair and drives every bound in this package. :func:`glb` checks each input
+once as a marginal, a hand-built :class:`Distribution` too, not its output.
 
 The half operator splits each component into two equal pieces, adding exactly
 one bit of entropy per application; it is the accounting device behind the
@@ -20,12 +21,10 @@ from itertools import chain, repeat, zip_longest
 from .distributions import (
     INTERNAL_TOL,
     Distribution,
-    _caller_masses,
     _sorted_distribution,
     _sorted_masses,
     as_distribution,
     compensated_prefix,
-    make_distribution,
 )
 from .errors import EmptyError, SizeCapError
 
@@ -55,7 +54,12 @@ def glb(p: Distribution | Sequence[float], q: Distribution | Sequence[float]) ->
     clamped to zero and the deficit folded into the next component so prefix
     sums stay within tolerance.
     """
-    pm, qm = _sorted_masses(p), _sorted_masses(q)
+    return _glb(_sorted_masses(p), _sorted_masses(q))
+
+
+def _glb(pm: Sequence[float], qm: Sequence[float]) -> Distribution:
+    # the glb of checked sorted masses: they and their prefix sums are
+    # non-negative, so the sums need no abs, and the glb needs no check
     masses: list[float] = []
     # the two compensated prefix sums (as in compensated_prefix) and the
     # clamped differences of their minimum, in one pass
@@ -64,13 +68,13 @@ def glb(p: Distribution | Sequence[float], q: Distribution | Sequence[float]) ->
     carry = 0.0
     for x, y in zip_longest(pm, qm, fillvalue=0.0):
         t = sp + x
-        if abs(sp) >= abs(x):
+        if sp >= x:
             ep += (sp - t) + x
         else:
             ep += (x - t) + sp
         sp = t
         t = sq + y
-        if abs(sq) >= abs(y):
+        if sq >= y:
             eq += (sq - t) + y
         else:
             eq += (y - t) + sq
@@ -86,23 +90,23 @@ def glb(p: Distribution | Sequence[float], q: Distribution | Sequence[float]) ->
             carry = 0.0
         masses.append(z)
         previous = m
-    values = _caller_masses(masses)
     try:
         # the differences are non-increasing up to roundoff, and a stable
         # reverse sort of a non-increasing list is the identity
-        return Distribution(tuple(values), tuple(range(len(values))))
+        return Distribution(tuple(masses), tuple(range(len(masses))))
     except ValueError:  # roundoff put two differences out of order
-        return make_distribution(masses)
+        order = sorted(range(len(masses)), key=masses.__getitem__, reverse=True)
+        return _sorted_distribution(tuple(map(masses.__getitem__, order)), tuple(order))
 
 
 def glb_many(ds: Sequence[Distribution | Sequence[float]]) -> Distribution:
     """Left fold of :func:`glb` over one or more distributions."""
     if len(ds) == 0:
         raise EmptyError("glb_many requires at least one distribution")
-    acc = as_distribution(ds[0])
+    acc = ds[0]
     for d in ds[1:]:
         acc = glb(acc, d)
-    return acc
+    return as_distribution(acc)
 
 
 def half(p: Distribution | Sequence[float]) -> Distribution:

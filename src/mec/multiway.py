@@ -14,6 +14,7 @@ its cell check with ``SparseCoupling``.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -29,7 +30,7 @@ from .coupling import (
 )
 from .distributions import (
     Distribution,
-    as_distribution,
+    _sorted_distribution,
     shannon_entropy,
 )
 from .errors import EmptyError, InternalError, TooFewError
@@ -114,22 +115,18 @@ _Node = tuple[Sequence[float], Sequence[tuple[int, ...]]]
 
 
 def _leaf(d: Distribution) -> _Node:
-    # zero components can never receive mass; drop them up front
-    masses = []
-    tags = []
-    for pos, m in enumerate(d.masses):
-        if m > 0.0:
-            masses.append(m)
-            tags.append((d.perm[pos],))
-    return tuple(masses), tuple(tags)
+    # zero components can never receive mass; the masses are checked and
+    # sorted, so the positive ones come first
+    k = bisect_left(d.masses, 0.0, key=operator.neg)
+    return d.masses[:k], tuple(zip(d.perm[:k]))
 
 
 def _couple(left: _Node, right: _Node) -> _Node:
     # the cells of the pairwise coupling of two mass-sorted nodes, in engine
     # order: their values, and the row's tag joined to the column's
     (left_masses, left_tags), (right_masses, right_tags) = left, right
-    dl = Distribution(left_masses, tuple(range(len(left_masses))))
-    dr = Distribution(right_masses, tuple(range(len(right_masses))))
+    dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
+    dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
     coupling = min_entropy_coupling_sparse(dl, dr)
     tags = list(map(
         operator.add,
@@ -166,9 +163,9 @@ def min_entropy_joint_k(
         raise EmptyError("no distributions to couple")
     if len(ds) == 1:
         raise TooFewError("coupling requires at least two distributions")
-    # masses off 1 within the tolerance are rescaled here, once, so that the
-    # merges and the debug witness see the same leaves
-    dists = [_unit(as_distribution(d)) for d in ds]
+    # the marginals are checked and rescaled here, once, so that the merges
+    # and the debug witness see the same leaves
+    dists = [_unit(d) for d in ds]
     dims = tuple(d.n for d in dists)
 
     nodes = [_leaf(d) for d in dists]
@@ -206,7 +203,7 @@ def min_entropy_joint_k(
 
 def joint_lower_bound_k(ds: Sequence[Distribution | Sequence[float]]) -> float:
     """Entropy floor for any coupling of the given marginals (in bits)."""
-    return shannon_entropy(glb_many([as_distribution(d) for d in ds]).masses)
+    return shannon_entropy(glb_many(ds).masses)
 
 
 @dataclass(frozen=True, slots=True)

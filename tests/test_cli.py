@@ -685,6 +685,76 @@ class TestFlags:
         doc = run_json(capsys, ["entropy", "--tol", "1e-2", "--p", path])
         assert math.isfinite(doc["entropy_bits"])
 
+    # both sums are 1.0005: accepted at --tol 1e-3, rejected at the default
+    WIDE_P = [0.6, 0.4005]
+    WIDE_Q = [0.5, 0.5005]
+    PAIR_COMMANDS = [["glb"], ["couple"], ["couple", "--engine", "dense"], ["bounds"],
+                     ["metric"], ["oracle-check"], ["oracle-check", "--engine", "dense"]]
+
+    @staticmethod
+    def _stdout(capsys, args: list[str]) -> str:
+        code = run(args)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        return out
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS, ids=" ".join)
+    def test_a_wider_tol_couples_the_rescaled_marginals(self, capsys, files, command):
+        p, q = files("p.json", self.WIDE_P), files("q.json", self.WIDE_Q)
+        code, err = run_error(capsys, [*command, "--p", p, "--q", q])
+        assert code == 2
+        assert "expected 1 within 1e-09" in err
+        # the document is the one the marginals divided by their totals give
+        # at the default tol
+        unit_p = files("unit-p.json", [x / math.fsum(self.WIDE_P) for x in self.WIDE_P])
+        unit_q = files("unit-q.json", [x / math.fsum(self.WIDE_Q) for x in self.WIDE_Q])
+        wide = self._stdout(capsys, [*command, "--tol", "1e-3", "--p", p, "--q", q])
+        assert wide == self._stdout(capsys, [*command, "--p", unit_p, "--q", unit_q])
+
+    def test_oracle_check_reports_a_valid_coupling_under_a_wider_tol(self, capsys, files):
+        p, q = files("p.json", self.WIDE_P), files("q.json", self.WIDE_Q)
+        # exit 0: the engine's coupling passed is_valid_coupling at --tol
+        doc = run_json(capsys, ["oracle-check", "--tol", "1e-3", "--p", p, "--q", q])
+        assert -1e-12 <= doc["gap"] <= 1.0 + 1e-12
+
+    def test_a_wider_tol_couples_k_rescaled_marginals(self, capsys, files):
+        rows = [self.WIDE_P, self.WIDE_Q, [0.25, 0.75]]
+        path = files("d.json", rows)
+        code, err = run_error(capsys, ["couple-k", "--dists", path])
+        assert code == 2
+        assert err.startswith("error: dists[0]: ")
+        unit = files("unit.json", [[x / math.fsum(row) for x in row] for row in rows])
+        wide = self._stdout(capsys, ["couple-k", "--tol", "1e-3", "--dists", path])
+        assert wide == self._stdout(capsys, ["couple-k", "--dists", unit])
+        margins = mec.axis_marginals(mec.SparseJoint(
+            tuple(json.loads(wide)["dims"]),
+            [mec.JointEntry(e["v"], tuple(e["coords"])) for e in json.loads(wide)["entries"]],
+        ))
+        for got, row in zip(margins, rows):
+            assert got == pytest.approx([x / math.fsum(row) for x in row], abs=1e-12)
+
+    def test_entropy_under_a_wider_tol_is_that_of_the_rescaled_vector(self, capsys, files):
+        doc = run_json(capsys, ["entropy", "--tol", "1e-3", "--p", files("p.json", self.WIDE_P)])
+        total = math.fsum(self.WIDE_P)
+        assert doc["entropy_bits"] == mec.shannon_entropy([x / total for x in self.WIDE_P])
+
+    @pytest.mark.parametrize("command", [*PAIR_COMMANDS, ["couple-k"], ["entropy"]],
+                             ids=" ".join)
+    def test_a_total_within_the_default_tol_is_read_as_given(self, capsys, files, command):
+        # 5e-10 over 1: the bytes at the default tol are those of the masses
+        # as written, and a wider tol does not change them
+        p, q = [0.5, 0.5000000005], [0.7, 0.3]
+        if command == ["couple-k"]:
+            args = ["couple-k", "--dists", files("d.json", [p, q])]
+        elif command == ["entropy"]:
+            args = ["entropy", "--p", files("p.json", p)]
+        else:
+            args = [*command, "--p", files("p.json", p), "--q", files("q.json", q)]
+        default = self._stdout(capsys, args)
+        assert self._stdout(capsys, [*args, "--tol", "1e-3"]) == default
+        if command == ["entropy"]:
+            assert json.loads(default)["entropy_bits"] == mec.shannon_entropy(p)
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_must_be_finite_and_non_negative(self, capsys, files, tol):
         code = run(["entropy", "--tol", tol, "--p", files("p.json", [0.9, 0.9])])

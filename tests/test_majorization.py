@@ -285,6 +285,47 @@ class TestGlbOnInvalidRawInput:
         for engine in (mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse):
             assert raised(engine, bad, self.GOOD) == want
 
+    # built by hand, past the checks make_distribution runs on raw masses
+    HAND_BUILT = {
+        "total-1.1": mec.Distribution((0.6, 0.5), (0, 1)),
+        "total-0.9": mec.Distribution((0.5, 0.4), (1, 0)),
+        "negative": mec.Distribution((0.6, 0.5, -0.1), (2, 0, 1)),
+        "nan": mec.Distribution((0.5, math.nan, 0.5), (0, 1, 2)),
+        "inf": mec.Distribution((math.inf, 0.5), (1, 0)),
+        "minus-inf": mec.Distribution((0.5, 0.5, -math.inf), (0, 1, 2)),
+    }
+
+    @pytest.mark.parametrize("kind", list(HAND_BUILT))
+    def test_a_hand_built_distribution_is_checked_as_its_masses(self, kind):
+        # every entry point that takes a marginal raises what make_distribution
+        # raises for the Distribution's masses, whichever side it is on
+        bad = self.HAND_BUILT[kind]
+        want = raised(mec.make_distribution, list(bad.masses))
+        good = mec.make_distribution(self.GOOD)
+        pairwise = (mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse,
+                    mec.glb, mec.majorizes, mec.kl_divergence)
+        for f in pairwise:
+            for args in ((bad, self.GOOD), (self.GOOD, bad), (bad, good), (good, bad)):
+                assert raised(f, *args) == want, (f.__name__, args)
+        for ds in ([bad, self.GOOD, good], [self.GOOD, good, bad]):
+            assert raised(mec.min_entropy_joint_k, ds) == want
+            assert raised(mec.min_entropy_joint_k, ds, True) == want
+
+    def test_each_engine_checks_each_marginal_once(self, monkeypatch):
+        # one pass of the checks per marginal, raw or built, and none on the glb
+        calls = []
+        check = mec.distributions._caller_masses
+        monkeypatch.setattr(mec.distributions, "_caller_masses",
+                            lambda raw, *a: calls.append(raw) or check(raw, *a))
+        good = mec.make_distribution(self.GOOD)
+        for engine in (mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse):
+            calls.clear()
+            engine(self.GOOD, good)
+            assert calls == [self.GOOD, good.masses]
+        calls.clear()
+        mec.glb(self.GOOD, good)
+        assert calls == [self.GOOD, good.masses]
+
 
 class TestGlbMany:
     def test_single_input_returned(self):
