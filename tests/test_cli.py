@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -784,6 +785,55 @@ class TestFlags:
         )
         assert code == 2
         assert "cannot write" in err
+
+
+def readme_shell_sessions() -> list[list[tuple[str, str]]]:
+    """The ```sh blocks of README.md that show a session: each ``$ `` line
+    with the output printed under it, up to the next ``$ `` line, as the
+    bytes a command prints (one newline after the last line)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```sh\n")[1:]
+    sessions = []
+    for block in blocks:
+        lines = block.split("```", 1)[0].splitlines()
+        if not lines or not lines[0].startswith("$ "):
+            continue
+        steps: list[tuple[str, list[str]]] = []
+        for line in lines:
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            else:
+                steps[-1][1].append(line)
+        session = []
+        for command, out in steps:
+            text = "\n".join(out).strip("\n")
+            session.append((command, text + "\n" if text else ""))
+        sessions.append(session)
+    return sessions
+
+
+class TestReadmeExamples:
+    def test_cli_examples_print_what_the_readme_shows(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sessions = readme_shell_sessions()
+        assert sessions
+        ran = []
+        for session in sessions:
+            for command, expected in session:
+                for part in command.split(" && "):
+                    argv = shlex.split(part)
+                    if argv[0] == "echo":
+                        text, redirect, name = argv[1:]
+                        assert redirect == ">", part
+                        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+                    else:
+                        assert argv[0] == "mec", part
+                        assert run(argv[1:]) == 0, part
+                        out, err = capsys.readouterr()
+                        assert err == ""
+                        assert out == expected, part
+                        ran.append(argv[1])
+        assert {"couple", "oracle-check"} <= set(ran)
 
 
 class TestConsoleScript:

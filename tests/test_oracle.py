@@ -9,8 +9,9 @@ from itertools import combinations
 import pytest
 
 import mec
-from mec.oracle import CELL_CAP, _tree_schedules
-from conftest import grid64_masses, random_masses
+from mec.distributions import _caller_order
+from mec.oracle import _ROUND, CELL_CAP, OracleResult, VertexCoupling, _tree_schedules
+from conftest import grid64_masses, random_masses, zero_padded_masses
 
 
 def reference_tree_schedules(n: int, m: int):
@@ -66,14 +67,90 @@ def reference_tree_schedules(n: int, m: int):
     return tuple(out)
 
 
+def reference_enumerate_vertices(p, q):
+    """The one-pass tree loop the two-pass one replaced: it solves each tree
+    while it checks it, and builds a grid for every feasible tree. It reads
+    only the node and the edge of each step and finds the far end from the
+    edge. Returns the vertices and the number of feasible trees."""
+    pvec = _caller_order(p)
+    qvec = _caller_order(q)
+    n, m = len(pvec), len(qvec)
+    found = {}
+    feasible_trees = 0
+    for edges, schedule in _tree_schedules(n, m):
+        residual = list(pvec) + list(qvec)
+        values = [0.0] * len(edges)
+        feasible = True
+        for node, _, edge_idx in schedule:
+            v = residual[node]
+            if v < -_ROUND:
+                feasible = False
+                break
+            values[edge_idx] = v
+            r, c = edges[edge_idx]
+            other = n + c if node == r else r
+            residual[other] -= v
+            residual[node] = 0.0
+        if not feasible:
+            continue
+        feasible_trees += 1
+        grid = [[0.0] * m for _ in range(n)]
+        for (r, c), v in zip(edges, values):
+            if v > 0.0:
+                grid[r][c] = v
+        support = tuple(
+            (r, c) for r in range(n) for c in range(m) if grid[r][c] > 0.0
+        )
+        key = tuple((r, c, round(grid[r][c] / _ROUND)) for r, c in support)
+        if key not in found:
+            found[key] = VertexCoupling(tuple(tuple(row) for row in grid), support)
+    return [found[key] for key in sorted(found)], feasible_trees
+
+
+def reference_brute_force_min_entropy(p, q) -> OracleResult:
+    vertices, _ = reference_enumerate_vertices(p, q)
+    best_value = math.inf
+    best_vertex = None
+    for vertex in vertices:
+        h = mec.shannon_entropy(vertex.values())
+        if h < best_value - 1e-15:
+            best_value = h
+            best_vertex = vertex
+    return OracleResult(best_value, best_vertex)
+
+
+def vertex_bits(vertex: VertexCoupling):
+    return vertex.support, tuple(x.hex() for row in vertex.grid for x in row)
+
+
+def zero_containing_masses(rng: random.Random, n: int) -> list[float]:
+    zeros = min(2, n - 1)
+    return zero_padded_masses(rng, n - zeros, zeros)
+
+
 def shapes(cap: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(1, cap + 1) for m in range(1, cap // n + 1)]
+
+
+def far_ends_and_pairs(n: int, edges, schedule):
+    """The (node, edge_index) pairs of a schedule of (node, other, edge_index)
+    steps, after checking that each ``other`` is the far end of its edge."""
+    pairs = []
+    for node, other, e in schedule:
+        r, c = edges[e]
+        assert {node, other} == {r, n + c}, (n, edges, schedule)
+        pairs.append((node, e))
+    return tuple(pairs)
 
 
 class TestTreeSchedules:
     def test_equals_the_exhaustive_enumerator(self):
         for n, m in shapes(16):
-            assert _tree_schedules(n, m) == reference_tree_schedules(n, m), (n, m)
+            got = tuple(
+                (edges, far_ends_and_pairs(n, edges, schedule))
+                for edges, schedule in _tree_schedules(n, m)
+            )
+            assert got == reference_tree_schedules(n, m), (n, m)
 
     def test_counts_every_spanning_tree(self):
         # Scoins: K_{n,m} has n^(m-1) * m^(n-1) spanning trees
@@ -84,15 +161,58 @@ class TestTreeSchedules:
         for n, m in shapes(CELL_CAP):
             for edges, schedule in _tree_schedules(n, m):
                 assert len(set(edges)) == len(edges) == n + m - 1
-                assert sorted(e for _, e in schedule) == list(range(len(edges)))
+                pairs = far_ends_and_pairs(n, edges, schedule)
+                assert sorted(e for _, e in pairs) == list(range(len(edges)))
                 peeled: set[int] = set()
-                for node, e in schedule:
+                for node, e in pairs:
                     live = [
                         i for i, (r, c) in enumerate(edges)
                         if i not in peeled and node in (r, n + c)
                     ]
                     assert live == [e], (n, m, edges, schedule)
                     peeled.add(e)
+
+
+class TestTwoPassLoopMatchesTheReference:
+    def test_vertices_and_optimum_are_bit_identical(self):
+        rng = random.Random(179)
+        for n, m in shapes(CELL_CAP):
+            if n > m:
+                continue  # the swapped call below covers the m x n shape
+            for masses in (random_masses, grid64_masses, zero_containing_masses):
+                p = masses(rng, n)
+                q = masses(rng, m)
+                for a, b in ((p, q), (q, p)):
+                    expected, _ = reference_enumerate_vertices(a, b)
+                    got = mec.enumerate_vertices(a, b)
+                    assert [vertex_bits(v) for v in got] == [
+                        vertex_bits(v) for v in expected
+                    ], (a, b)
+                    res = mec.brute_force_min_entropy(a, b)
+                    ref = reference_brute_force_min_entropy(a, b)
+                    assert res.opt_value.hex() == ref.opt_value.hex(), (a, b)
+                    assert vertex_bits(res.argmin) == vertex_bits(ref.argmin), (a, b)
+
+    def test_each_returned_vertex_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting_vertex(grid, support):
+            built.append(support)
+            return VertexCoupling(grid, support)
+
+        monkeypatch.setattr(mec.oracle, "VertexCoupling", counting_vertex)
+        rng = random.Random(181)
+        instances = [([0.25] * 4, [0.25] * 4), ([0.5, 0.5], [0.5, 0.5])]
+        instances += [(grid64_masses(rng, n), grid64_masses(rng, m)) for n, m in shapes(12)]
+        shared = 0
+        for p, q in instances:
+            built.clear()
+            vertices = mec.enumerate_vertices(p, q)
+            assert len(built) == len(vertices), (p, q)
+            _, feasible_trees = reference_enumerate_vertices(p, q)
+            shared += feasible_trees > len(vertices)
+        # degenerate vertices, reached by several feasible trees, occur
+        assert shared >= 2
 
 
 class TestEnumerateVertices:
