@@ -28,7 +28,6 @@ from .coupling import (
     DENSE_CAP,
     SparseCoupling,
     is_valid_coupling,
-    min_entropy_coupling_dense,
     min_entropy_coupling_sparse,
 )
 from .distributions import (
@@ -43,11 +42,6 @@ from .majorization import glb
 from .multiway import frl_bounds, min_entropy_joint_k
 from .oracle import brute_force_min_entropy
 from .reports import bounds_report, metric_estimate
-
-_ENGINES = {
-    "dense": min_entropy_coupling_dense,
-    "sparse": min_entropy_coupling_sparse,
-}
 
 # a pairwise coupling's entropy is within 1 bit of the glb's
 _PAIR_GAP_BITS = 1.0
@@ -118,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("couple", help="pairwise coupling within 1 bit of optimal")
     add_common(sp, p=True, q=True)
-    sp.add_argument("--engine", choices=("dense", "sparse"), default="sparse")
     sp.add_argument("--format", choices=("dense", "sparse"), default="sparse",
                     dest="output_format", help="emit entries or a row-major matrix")
 
@@ -138,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle-check", help="certify the gap against brute force (small n)")
     add_common(sp, p=True, q=True)
-    sp.add_argument("--engine", choices=("dense", "sparse"), default="sparse")
 
     return parser
 
@@ -279,14 +271,14 @@ def _execute(ns: argparse.Namespace) -> dict:
 
     if ns.subcommand == "couple":
         dp, dq = _pair(ns)
-        # a dense document holds n_rows x n_cols numbers: cap it before any
+        # a dense document holds n_rows x n_cols numbers: cap it before the
         # engine runs
         if ns.output_format == "dense" and max(dp.n, dq.n) > DENSE_CAP:
             raise InputError(
                 f"format: --format dense is capped at {DENSE_CAP} components per side, "
                 f"got {dp.n} x {dq.n}; use --format sparse"
             )
-        m = _ENGINES[ns.engine](dp, dq)
+        m = min_entropy_coupling_sparse(dp, dq)
         h_glb = shannon_entropy(glb(dp, dq).masses)
         return _coupling_doc(m, h_glb, dense=ns.output_format == "dense")
 
@@ -335,7 +327,7 @@ def _execute(ns: argparse.Namespace) -> dict:
         dp, dq = _pair(ns)
         # the oracle's cell cap rejects oversized input before any coupling work
         opt = brute_force_min_entropy(dp, dq)
-        m = _ENGINES[ns.engine](dp, dq)
+        m = min_entropy_coupling_sparse(dp, dq)
         ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")

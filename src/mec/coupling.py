@@ -16,12 +16,11 @@ overall. Both resolve every row/column overflow through the one greedy split,
 checked (a hand-built ``Distribution`` too), and never checks their glb.
 
 Both engines report coordinates in the caller's original index order for each
-marginal, regardless of the internal sorting and of the role swap applied
-when the marginals compare the wrong way at their last differing component.
-They record the cells as three flat columns (value, row, column) in sorted
-working positions and share one output step: it undoes the swap, maps the
-index columns through the sort permutations, and orders the cells by two
-stable sorts, by column and then by row, which is the (row, col) order.
+marginal, regardless of the internal sorting. They record the cells as three
+flat columns (value, row, column) in sorted working positions and share one
+output step: it maps the index columns through the sort permutations and
+orders the cells by two stable sorts, by column and then by row, which is the
+(row, col) order.
 """
 
 from __future__ import annotations
@@ -307,27 +306,13 @@ class MassPool:
 def _prepare(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
-) -> tuple[Distribution, Distribution, bool, int, int]:
-    """Coerce, check and rescale (:func:`_unit`), pad, and decide the role swap.
-
-    The greedy walk requires the first marginal to dominate at the last index
-    where the sorted masses differ; when it does not, roles are swapped and
-    the output is transposed back afterwards.
-    """
+) -> tuple[Distribution, Distribution, int, int]:
+    """Coerce, check and rescale (:func:`_unit`), and pad both marginals to
+    a common length; also returns their lengths before padding."""
     dp = _unit(p)
     dq = _unit(q)
-    n_rows, n_cols = dp.n, dq.n
     n = max(dp.n, dq.n)
-    dp = dp.padded(n)
-    dq = dq.padded(n)
-    swapped = False
-    for j in range(n - 1, -1, -1):
-        if dp.masses[j] != dq.masses[j]:
-            swapped = dp.masses[j] < dq.masses[j]
-            break
-    if swapped:
-        dp, dq = dq, dp
-    return dp, dq, swapped, n_rows, n_cols
+    return dp.padded(n), dq.padded(n), dp.n, dq.n
 
 
 def _unit(d: Distribution | Sequence[float]) -> Distribution:
@@ -349,24 +334,17 @@ def _finish(
     wc: list[int],
     dp: Distribution,
     dq: Distribution,
-    swapped: bool,
     n_rows: int,
     n_cols: int,
 ) -> SparseCoupling:
-    # cell k has value vals[k] at (wr[k], wc[k]) in sorted positions of the
-    # (possibly swapped) working pair; undo the swap, map the index columns
-    # through the perms, and order the cells by column, then stably by row.
-    # That is (row, col) order, padded indices included, so an out-of-range
-    # cell is reported where the (row, col) order puts it. Two sorts of
-    # small ints beat one sort of row * n + col, whose multi-digit ints lose
-    # CPython's fast int compare at n = 1e5
-    if swapped:
-        wr, wc = wc, wr
-        row_perm, col_perm = dq.perm, dp.perm
-    else:
-        row_perm, col_perm = dp.perm, dq.perm
-    rows = list(map(row_perm.__getitem__, wr))
-    cols = list(map(col_perm.__getitem__, wc))
+    # cell k has value vals[k] at (wr[k], wc[k]) in sorted positions; map
+    # the index columns through the perms, and order the cells by column,
+    # then stably by row. That is (row, col) order, padded indices included,
+    # so an out-of-range cell is reported where the (row, col) order puts it.
+    # Two sorts of small ints beat one sort of row * n + col, whose
+    # multi-digit ints lose CPython's fast int compare at n = 1e5
+    rows = list(map(dp.perm.__getitem__, wr))
+    cols = list(map(dq.perm.__getitem__, wc))
     order = sorted(range(len(cols)), key=cols.__getitem__)
     order.sort(key=rows.__getitem__)
     m = object.__new__(SparseCoupling)
@@ -400,7 +378,7 @@ def min_entropy_coupling_dense(
     Raises:
         TooLargeError: either marginal has more than ``DENSE_CAP`` components.
     """
-    dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
+    dp, dq, n_rows, n_cols = _prepare(p, q)
     n = dp.n
     if n > DENSE_CAP:
         raise TooLargeError(
@@ -460,7 +438,7 @@ def min_entropy_coupling_dense(
                 wc.append(c)
     if debug:
         _verify_split_conservation(vals, wr, wc, z, splits)
-    return _finish(vals, wr, wc, dp, dq, swapped, n_rows, n_cols)
+    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols)
 
 
 def min_entropy_coupling_sparse(
@@ -478,7 +456,7 @@ def min_entropy_coupling_sparse(
     amount and requeues the remainder). Same output as the dense engine, bit
     for bit.
     """
-    dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
+    dp, dq, n_rows, n_cols = _prepare(p, q)
     n = dp.n
     pm, qm = dp.masses, dq.masses
     z = _glb(pm, qm).masses
@@ -549,7 +527,7 @@ def min_entropy_coupling_sparse(
         raise InternalError("leftover queued mass after the final index")
     if debug:
         _verify_split_conservation(vals, wr, wc, z, splits)
-    return _finish(vals, wr, wc, dp, dq, swapped, n_rows, n_cols)
+    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols)
 
 
 def _verify_split_conservation(

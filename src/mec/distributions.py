@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat, zip_longest
@@ -242,7 +243,10 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
 
     Defined for ``alpha`` in (0, 1) and (1, inf) as
     ``log2(sum(x ** alpha)) / (1 - alpha)``; orders within 1e-9 of 1 are
-    rejected rather than silently switched to the Shannon limit.
+    rejected rather than silently switched to the Shannon limit. Where that
+    sum falls below the smallest normal float, as it does at large orders,
+    the largest mass M is factored out:
+    ``(alpha * log2(M) + log2(sum((x / M) ** alpha))) / (1 - alpha)``.
 
     Raises:
         BadAlphaError: ``alpha`` is not a finite order above 0, or lies
@@ -256,6 +260,12 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
     if not positive:
         return 0.0
     power_sum = math.fsum(map(pow, positive, repeat(alpha)))
+    if power_sum < sys.float_info.min:
+        # underflowed to zero or lost bits to subnormals; the scaled sum
+        # holds a term of exactly 1, so it cannot
+        top = max(positive)
+        scaled = math.fsum(map(pow, map(operator.truediv, positive, repeat(top)), repeat(alpha)))
+        return (alpha * math.log2(top) + math.log2(scaled)) / (1.0 - alpha) + 0.0
     # adding 0.0 folds the point-mass result -0.0 back to 0.0
     return math.log2(power_sum) / (1.0 - alpha) + 0.0
 

@@ -140,6 +140,9 @@ def half_iter(
     if i < 0:
         raise ValueError(f"iteration count must be >= 0, got {i}")
     dp = as_distribution(p)
+    # from i = cap.bit_length() on, 2**i alone exceeds the cap: it is not built
+    if i >= cap.bit_length():
+        raise SizeCapError(f"half_iter would produce {dp.n} * 2**{i} components, cap is {cap}")
     if dp.n * (2**i) > cap:
         raise SizeCapError(f"half_iter would produce {dp.n * 2**i} components, cap is {cap}")
     for _ in range(i):

@@ -107,40 +107,13 @@ class TestCoupleCommand:
             for c in range(6):
                 assert matrix[r][c] == cells.get((r, c), 0.0)
 
-    def test_dense_engine_flag(self, capsys, files):
-        doc = run_json(
-            capsys,
-            [
-                "couple", "--engine", "dense",
-                "--p", files("p.json", list(WORKED_P)),
-                "--q", files("q.json", list(WORKED_Q)),
-            ],
-        )
-        m = mec.min_entropy_coupling_dense(WORKED_P, WORKED_Q)
-        assert [(e["v"], e["i"], e["j"]) for e in doc["entries"]] == [
-            (e.value, e.row, e.col) for e in m.entries
-        ]
-
-    def test_dense_engine_over_its_cap_is_an_input_error(self, capsys, files):
-        n = DENSE_CAP + 1
-        code, err = run_error(
-            capsys,
-            [
-                "couple", "--engine", "dense",
-                "--p", files("p.json", [1.0 / n] * n),
-                "--q", files("q.json", [1.0]),
-            ],
-        )
-        assert code == 2
-        assert "dense engine" in err
-
     @pytest.mark.parametrize("big_side", ["p", "q"])
     def test_dense_format_over_the_cap_is_an_input_error(self, capsys, files, monkeypatch,
                                                           big_side):
         def engine_must_not_run(p, q):
             raise AssertionError("an engine ran on a document that is refused")
 
-        monkeypatch.setitem(cli._ENGINES, "sparse", engine_must_not_run)
+        monkeypatch.setattr(cli, "min_entropy_coupling_sparse", engine_must_not_run)
         n = DENSE_CAP + 1
         sides = {"p": [1.0], "q": [1.0]}
         sides[big_side] = [1.0 / n] * n
@@ -152,6 +125,17 @@ class TestCoupleCommand:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith(f"error: format: --format dense is capped at {DENSE_CAP} ")
+
+    @pytest.mark.parametrize("command", ["couple", "oracle-check"])
+    def test_there_is_no_engine_flag(self, capsys, files, command):
+        code = run([
+            command, "--engine", "dense",
+            "--p", files("p.json", [0.5, 0.5]),
+            "--q", files("q.json", [0.5, 0.5]),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --engine dense" in err
 
     def test_single_document_carries_both_marginals(self, capsys, files):
         doc = run_json(
@@ -233,6 +217,11 @@ class TestEntropyCommand:
         assert out == ""
         assert err.startswith("error: alpha: ")
 
+    def test_a_large_alpha_is_finite(self, capsys, files):
+        # 0.5 ** 2000 underflows to 0.0
+        doc = run_json(capsys, ["entropy", "--alpha", "2000", "--p", files("p.json", [0.5, 0.5])])
+        assert doc == {"entropy_bits": 1.0, "alpha": 2000.0}
+
     def test_alpha_flag_only_exists_here(self, capsys, files):
         code, _ = run_error(
             capsys,
@@ -282,18 +271,6 @@ class TestOracleCheckCommand:
         assert set(doc) == {"opt", "alg", "gap"}
         assert doc["gap"] == doc["alg"] - doc["opt"]
         assert -1e-9 <= doc["gap"] <= 1.0 + 1e-9
-
-    def test_dense_engine_flag(self, capsys, files):
-        doc = run_json(
-            capsys,
-            [
-                "oracle-check", "--engine", "dense",
-                "--p", files("p.json", [0.5, 0.5]),
-                "--q", files("q.json", [0.5, 0.5]),
-            ],
-        )
-        assert doc["opt"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["gap"] == pytest.approx(0.0, abs=1e-9)
 
     def test_grid_over_the_cap_is_an_input_error(self, capsys, files):
         code, err = run_error(
@@ -345,12 +322,6 @@ class TestGoldenBytes:
          "be6d20298173481a12574d010abefa77468374c34f53a7a0af4b2a1b838d7494"),
         ("couple-sparse-engine-dense-format",
          ["couple", "--format", "dense", "--p", "{pair}"],
-         "2d9633a7ba622e7a02dab5ece1ea8ec7eda9aa656765e9cf663878cf5cd55be3"),
-        ("couple-dense-engine-sparse-format",
-         ["couple", "--engine", "dense", "--p", "{pair}"],
-         "be6d20298173481a12574d010abefa77468374c34f53a7a0af4b2a1b838d7494"),
-        ("couple-dense-engine-dense-format",
-         ["couple", "--engine", "dense", "--format", "dense", "--p", "{pair}"],
          "2d9633a7ba622e7a02dab5ece1ea8ec7eda9aa656765e9cf663878cf5cd55be3"),
         ("couple-k-3", ["couple-k", "--dists", "{k3}"],
          "d5bf42f38da52a2209d5e5de147e502696f195daa4b2aea1b9b1fef2ad8723f6"),
@@ -647,17 +618,18 @@ class TestInputPaths:
 
 class TestHelpBytes:
     """SHA-256 of each ``--help`` page at 80 columns, frozen from the parser
-    that predates reading flags straight from argparse's namespace."""
+    that predates reading flags straight from argparse's namespace; those of
+    ``couple`` and ``oracle-check`` from the parser without ``--engine``."""
 
     HELP = [
         ([], "6382f92b5cb2414f9cada8595da785aefab430b28daad32c5ee06fb6fbaa0072"),
         (["glb"], "cef10905f660456448579271edaf7166fd8dad211f633e977a2bd01cfbeb9527"),
-        (["couple"], "ec8564675dd355cc62cbec4ec2e2c6bcdd9538322010fcc0e979fc80eb40ecc7"),
+        (["couple"], "88c2182965a2a637a9e65e194f32fe24c41a04d21c5cf0cb133f17842c154872"),
         (["couple-k"], "42362e1e4ba4158ca81ffc7629b43e28c01f669ee9f57c8d92b58d28e5c12300"),
         (["entropy"], "1b425fc0083feb3cd536c4fdc65632324e7781164f6f898319d76c4b3cde348c"),
         (["bounds"], "8adec0ea0d4d253a04a0512a901c42e00749adb542c621c86f839e5da9105165"),
         (["metric"], "777fa184bfed95cc8382ccd44b84358ab70d0beabc3f3a5eead081a16598b2bf"),
-        (["oracle-check"], "4941f674bb4cc25c036a716d32fbae323c3552a22194517657f6c10b1b4c386f"),
+        (["oracle-check"], "04ce874836e20f6d8fc47e09e99c7867ed10bfe1eb4d23c07ac3b52e970e6dab"),
     ]
 
     @pytest.mark.parametrize("sub, digest", HELP, ids=["mec"] + [h[0][0] for h in HELP[1:]])
@@ -689,8 +661,7 @@ class TestFlags:
     # both sums are 1.0005: accepted at --tol 1e-3, rejected at the default
     WIDE_P = [0.6, 0.4005]
     WIDE_Q = [0.5, 0.5005]
-    PAIR_COMMANDS = [["glb"], ["couple"], ["couple", "--engine", "dense"], ["bounds"],
-                     ["metric"], ["oracle-check"], ["oracle-check", "--engine", "dense"]]
+    PAIR_COMMANDS = [["glb"], ["couple"], ["bounds"], ["metric"], ["oracle-check"]]
 
     @staticmethod
     def _stdout(capsys, args: list[str]) -> str:

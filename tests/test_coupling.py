@@ -458,8 +458,7 @@ class TestBitIdentityPin:
     entry-per-cell implementation that preceded the columnar one; the k = 5
     joint of random marginals is that of the merge tree without padding."""
 
-    # (seed, len p, len q, zeros in p), digest for (p, q), digest for (q, p);
-    # one of the two orders takes the role swap
+    # (seed, len p, len q, zeros in p), digest for (p, q), digest for (q, p)
     PAIRS = [
         (37, 37, 29, 3,
          "98a777f9c949af861a203127ce0202065bacda7f619518e7e52185d182e0e6c4",
@@ -974,11 +973,27 @@ class ReferencePool:
         return out
 
 
+def reference_prepare(p, q):
+    """``_prepare`` as it stood with the role swap: the first marginal of the
+    walk is the one that dominates at the last index where the sorted
+    masses differ, and ``swapped`` says whether that is ``q``."""
+    dp, dq, n_rows, n_cols = _prepare(p, q)
+    swapped = False
+    for j in range(dp.n - 1, -1, -1):
+        if dp.masses[j] != dq.masses[j]:
+            swapped = dp.masses[j] < dq.masses[j]
+            break
+    if swapped:
+        dp, dq = dq, dp
+    return dp, dq, swapped, n_rows, n_cols
+
+
 def reference_min_entropy_coupling_sparse(p, q) -> mec.SparseCoupling:
     """The sparse engine as it stood before its cells became three columns:
     one (value, row, col) tuple per cell, every drain run, the pool total
-    read through ``total``, and the cells sorted as (row, col, value) tuples."""
-    dp, dq, swapped, n_rows, n_cols = _prepare(p, q)
+    read through ``total``, the role swap, and the cells sorted as
+    (row, col, value) tuples."""
+    dp, dq, swapped, n_rows, n_cols = reference_prepare(p, q)
     n = dp.n
     z = mec.glb(dp, dq).masses
     pm, qm = dp.masses, dq.masses
@@ -1083,6 +1098,30 @@ class TestSparseEngineMatchesTheTupleWalk:
             want = engine_outcome(reference_min_entropy_coupling_sparse, a, b)
             assert want == (ValueError, message)
             assert engine_outcome(mec.min_entropy_coupling_sparse, a, b) == want
+
+
+def transposed_cells(m: mec.SparseCoupling) -> list[tuple[int, int, str]]:
+    return sorted(zip(m.cols, m.rows, map(float.hex, m.values())))
+
+
+class TestArgumentOrderTransposes:
+    """Each engine walks rows and columns alike, so swapping the marginals
+    transposes the coupling, float bits included, or both orders raise the
+    padded-line ``ValueError`` (ROADMAP item 1)."""
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    @given(p=engine_marginals(), q=engine_marginals())
+    @settings(max_examples=200, deadline=None)
+    def test_reversed_marginals_give_the_transpose(self, engine, p, q):
+        try:
+            fwd = engine(p, q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                engine(q, p)
+            return
+        rev = engine(q, p)
+        assert (rev.n_rows, rev.n_cols) == (fwd.n_cols, fwd.n_rows)
+        assert list(zip(rev.rows, rev.cols, map(float.hex, rev.values()))) == transposed_cells(fwd)
 
 
 def pool_state(pool) -> tuple:

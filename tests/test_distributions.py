@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,33 @@ class TestRenyiEntropy:
         assert mec.renyi_entropy(shuffled, alpha) == pytest.approx(
             mec.renyi_entropy(raw, alpha), abs=1e-10
         )
+
+    @given(mass_vectors(), st.sampled_from([0.5, 2.0, 3.0, 10.0, 50.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_a_normal_power_sum_keeps_the_plain_formula(self, raw, alpha):
+        power_sum = math.fsum(x**alpha for x in raw)
+        assert power_sum >= sys.float_info.min
+        want = math.log2(power_sum) / (1.0 - alpha) + 0.0
+        assert mec.renyi_entropy(raw, alpha).hex() == want.hex()
+
+    @pytest.mark.parametrize("raw, alpha, want", [
+        # the plain power sum is 0.0, whose log2 raises
+        ([0.5, 0.5], 2000.0, 1.0),
+        ([1e-3] * 1000, 110.0, math.log2(1000)),
+        # the plain power sum is subnormal and drifts in the fifth digit
+        ([1e-3] * 1000, 107.0, math.log2(1000)),
+    ])
+    def test_an_underflowing_power_sum_factors_out_the_largest_mass(self, raw, alpha, want):
+        assert mec.renyi_entropy(raw, alpha) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [120, 1500])
+    def test_large_orders_match_exact_arithmetic(self, alpha):
+        raw = [0.6, 0.3, 0.1]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            power_sum = sum(decimal.Decimal(x) ** alpha for x in raw)
+            want = float(power_sum.ln() / decimal.Decimal(2).ln() / (1 - alpha))
+        assert mec.renyi_entropy(raw, alpha) == pytest.approx(want, rel=1e-14)
 
 
 class TestKlDivergence:

@@ -326,6 +326,24 @@ class TestGlbOnInvalidRawInput:
         mec.glb(self.GOOD, good)
         assert calls == [self.GOOD, good.masses]
 
+    def test_each_report_checks_each_marginal_once(self, monkeypatch):
+        # bounds_report checks each marginal once; metric_estimate coerces
+        # raw masses once and its engine checks each marginal once
+        calls = []
+        check = mec.distributions._caller_masses
+        monkeypatch.setattr(mec.distributions, "_caller_masses",
+                            lambda raw, *a: calls.append(raw) or check(raw, *a))
+        good = mec.make_distribution(self.GOOD)
+        calls.clear()
+        mec.bounds_report(self.GOOD, good)
+        assert calls == [self.GOOD, good.masses]
+        calls.clear()
+        mec.metric_estimate(self.GOOD, good)
+        assert calls == [self.GOOD, good.masses, good.masses]
+        calls.clear()
+        mec.metric_estimate(self.GOOD, self.GOOD)
+        assert len(calls) == 4
+
 
 class TestGlbMany:
     def test_single_input_returned(self):
@@ -388,6 +406,14 @@ class TestHalf:
         with pytest.raises(mec.SizeCapError):
             mec.half_iter([0.5, 0.5], 3, cap=8)
         assert mec.half_iter([0.5, 0.5], 2, cap=8).n == 8
+
+    def test_a_huge_iteration_count_hits_the_cap_without_building_it(self):
+        # 2**(10**8) has 3e7 digits; int-to-str would refuse to print it
+        with pytest.raises(mec.SizeCapError, match=r"^half_iter would produce 1 \* 2\*\*100000000 "):
+            mec.half_iter([1.0], 10**8)
+        # below cap.bit_length() the message gives the count itself
+        with pytest.raises(mec.SizeCapError, match=r"^half_iter would produce 16 components, cap is 15$"):
+            mec.half_iter([0.5, 0.5], 3, cap=15)
 
     def test_rejects_negative_iterations(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -116,3 +117,73 @@ class TestMetricEstimate:
         e_rev = mec.metric_estimate(WORKED_Q, WORKED_P)
         assert e_fwd.d_hat == pytest.approx(e_rev.d_hat, abs=1e-9)
         assert e_fwd.lower == pytest.approx(e_rev.lower, abs=1e-12)
+
+
+def reference_bounds_report(p, q) -> mec.BoundsReport:
+    """``bounds_report`` as it stood when it checked each marginal twice:
+    once coercing it, and again in ``glb``."""
+    dp = mec.as_distribution(p)
+    dq = mec.as_distribution(q)
+    h_p = mec.shannon_entropy(dp.masses)
+    h_q = mec.shannon_entropy(dq.masses)
+    h_glb = mec.shannon_entropy(mec.glb(dp, dq).masses)
+    return mec.BoundsReport(h_p, h_q, h_glb, h_glb, h_p + h_q - h_glb, h_glb - h_q, h_glb - h_p)
+
+
+def reference_metric_estimate(p, q) -> mec.MetricEstimate:
+    """``metric_estimate`` as it stood when it checked each marginal three
+    times: coercing it, in ``glb`` and in the engine."""
+    dp = mec.as_distribution(p)
+    dq = mec.as_distribution(q)
+    h_p = mec.shannon_entropy(dp.masses)
+    h_q = mec.shannon_entropy(dq.masses)
+    h_glb = mec.shannon_entropy(mec.glb(dp, dq).masses)
+    h_alg = mec.shannon_entropy(mec.min_entropy_coupling_sparse(dp, dq).values())
+    d_hat = 2.0 * h_alg - h_p - h_q
+    return mec.MetricEstimate(d_hat, 2.0 * h_glb - h_p - h_q, d_hat)
+
+
+def report_outcome(f, p, q):
+    """The report's fields as float bits, or the type and message raised."""
+    try:
+        r = f(p, q)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
+        return type(exc), str(exc)
+    return [getattr(r, name).hex() for name in r.__slots__]
+
+
+BAD_MARGINALS = [
+    [0.5, math.nan, 0.5], [0.5, math.inf], [0.7, -0.2, 0.5], [0.5, 0.4], [],
+    mec.Distribution((0.6, 0.5), (0, 1)),
+    mec.Distribution((0.6, 0.5, -0.1), (2, 0, 1)),
+    mec.Distribution((0.5, math.nan, 0.5), (0, 1, 2)),
+    mec.Distribution((math.inf, 0.5), (1, 0)),
+    mec.Distribution((), ()),
+]
+
+
+class TestReportsMatchTheReference:
+    """Checking each marginal once keeps every report bit for bit, and a
+    bad marginal on either side raises what it raised before."""
+
+    PAIRS = [(mec.bounds_report, reference_bounds_report),
+             (mec.metric_estimate, reference_metric_estimate)]
+
+    @pytest.mark.parametrize("report, reference", PAIRS, ids=["bounds", "metric"])
+    def test_same_bits_on_random_pairs(self, report, reference):
+        rng = random.Random(197)
+        for _ in range(100):
+            p = random_masses(rng, rng.randint(1, 30))
+            q = grid64_masses(rng, rng.randint(1, 30))
+            for a, b in ((p, q), (mec.make_distribution(q), p)):
+                assert report_outcome(report, a, b) == report_outcome(reference, a, b)
+
+    @pytest.mark.parametrize("report, reference", PAIRS, ids=["bounds", "metric"])
+    @pytest.mark.parametrize("bad", BAD_MARGINALS, ids=repr)
+    def test_a_bad_marginal_raises_what_it_raised(self, report, reference, bad):
+        good = list(WORKED_P)
+        for a, b in ((bad, good), (good, bad), (bad, mec.make_distribution(good)),
+                     (mec.make_distribution(good), bad)):
+            want = report_outcome(reference, a, b)
+            assert isinstance(want, tuple)
+            assert report_outcome(report, a, b) == want
