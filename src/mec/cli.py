@@ -27,8 +27,9 @@ from collections.abc import Iterable
 from .coupling import (
     DENSE_CAP,
     SparseCoupling,
+    _pad,
+    _walk,
     is_valid_coupling,
-    min_entropy_coupling_sparse,
 )
 from .distributions import (
     NORMALIZATION_TOL,
@@ -278,9 +279,9 @@ def _execute(ns: argparse.Namespace) -> dict:
                 f"format: --format dense is capped at {DENSE_CAP} components per side, "
                 f"got {dp.n} x {dq.n}; use --format sparse"
             )
-        m = min_entropy_coupling_sparse(dp, dq)
-        h_glb = shannon_entropy(glb(dp, dq).masses)
-        return _coupling_doc(m, h_glb, dense=ns.output_format == "dense")
+        # _dist checked both marginals; the walk returns the glb it walked
+        m, z = _walk(*_pad(dp, dq), False)
+        return _coupling_doc(m, shannon_entropy(z), dense=ns.output_format == "dense")
 
     if ns.subcommand == "couple-k":
         rows = _load_dists(ns)
@@ -327,7 +328,7 @@ def _execute(ns: argparse.Namespace) -> dict:
         dp, dq = _pair(ns)
         # the oracle's cell cap rejects oversized input before any coupling work
         opt = brute_force_min_entropy(dp, dq)
-        m = min_entropy_coupling_sparse(dp, dq)
+        m, _ = _walk(*_pad(dp, dq), False)
         ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")

@@ -14,6 +14,8 @@ masses, in two min-priority queues keyed by mass, and runs in O(n log n)
 overall. Both resolve every row/column overflow through the one greedy split,
 :meth:`MassPool.split`. Each checks each marginal once, as raw masses are
 checked (a hand-built ``Distribution`` too), and never checks their glb.
+Callers that hold checked marginals call the sparse engine's check-free walk,
+``_walk``, which also returns the glb it walked, so that glb is computed once.
 
 Both engines report coordinates in the caller's original index order for each
 marginal, regardless of the internal sorting. They record the cells as three
@@ -37,9 +39,8 @@ from .distributions import (
     NORMALIZATION_TOL,
     Distribution,
     _caller_order,
+    _checked,
     _sorted_distribution,
-    _sorted_masses,
-    make_distribution,
 )
 from .errors import InfeasibleSplitError, InternalError, TooLargeError
 from .majorization import _glb
@@ -303,25 +304,18 @@ class MassPool:
         return out
 
 
-def _prepare(
-    p: Distribution | Sequence[float],
-    q: Distribution | Sequence[float],
-) -> tuple[Distribution, Distribution, int, int]:
-    """Coerce, check and rescale (:func:`_unit`), and pad both marginals to
-    a common length; also returns their lengths before padding."""
-    dp = _unit(p)
-    dq = _unit(q)
+def _pad(dp: Distribution, dq: Distribution) -> tuple[Distribution, Distribution, int, int]:
+    """Rescale (:func:`_unit`) two checked marginals and pad them to a common
+    length; also returns their lengths before padding."""
+    dp = _unit(dp)
+    dq = _unit(dq)
     n = max(dp.n, dq.n)
     return dp.padded(n), dq.padded(n), dp.n, dq.n
 
 
-def _unit(d: Distribution | Sequence[float]) -> Distribution:
-    # checks a marginal once, raw or built, and divides masses off 1 by more
-    # than INTERNAL_TOL, which would overflow the walk's lines, by their total
-    if isinstance(d, Distribution):
-        _sorted_masses(d)
-    else:
-        d = make_distribution(d)
+def _unit(d: Distribution) -> Distribution:
+    # divides the masses of a checked marginal off 1 by more than
+    # INTERNAL_TOL, which would overflow the walk's lines, by their total
     total = math.fsum(d.masses)
     if abs(total - 1.0) <= INTERNAL_TOL:
         return d
@@ -378,7 +372,7 @@ def min_entropy_coupling_dense(
     Raises:
         TooLargeError: either marginal has more than ``DENSE_CAP`` components.
     """
-    dp, dq, n_rows, n_cols = _prepare(p, q)
+    dp, dq, n_rows, n_cols = _pad(_checked(p), _checked(q))
     n = dp.n
     if n > DENSE_CAP:
         raise TooLargeError(
@@ -456,7 +450,12 @@ def min_entropy_coupling_sparse(
     amount and requeues the remainder). Same output as the dense engine, bit
     for bit.
     """
-    dp, dq, n_rows, n_cols = _prepare(p, q)
+    return _walk(*_pad(_checked(p), _checked(q)), debug)[0]
+
+
+def _walk(dp: Distribution, dq: Distribution, n_rows: int, n_cols: int,
+          debug: bool) -> tuple[SparseCoupling, tuple[float, ...]]:
+    # the sparse engine's walk over _pad's output, unchecked; returns the glb z too
     n = dp.n
     pm, qm = dp.masses, dq.masses
     z = _glb(pm, qm).masses
@@ -527,7 +526,7 @@ def min_entropy_coupling_sparse(
         raise InternalError("leftover queued mass after the final index")
     if debug:
         _verify_split_conservation(vals, wr, wc, z, splits)
-    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols)
+    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols), z
 
 
 def _verify_split_conservation(

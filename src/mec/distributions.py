@@ -185,15 +185,22 @@ def _caller_order(d: Distribution | Sequence[float], tol: float = NORMALIZATION_
     return d.to_caller_order() if isinstance(d, Distribution) else _caller_masses(d, tol=tol)
 
 
+def _checked(d: Distribution | Sequence[float]) -> Distribution:
+    """A marginal checked once: raw masses by :func:`make_distribution`, or a
+    :class:`Distribution`'s by the same checks, and then returned as given."""
+    if not isinstance(d, Distribution):
+        return make_distribution(d)
+    _caller_masses(d.masses)
+    return d
+
+
 def _sorted_masses(d: Distribution | Sequence[float]) -> Sequence[float]:
-    """Masses in non-increasing order, checked as a marginal: raw masses
-    after the checks of :func:`make_distribution`, which are the floats of
-    its ``masses`` in the same order (both are stable reverse sorts), or a
-    :class:`Distribution`'s own, unchanged, if they pass the same checks."""
+    """Masses in non-increasing order, checked as :func:`_checked` checks them;
+    raw masses are sorted without a permutation, to the floats of
+    :func:`make_distribution`'s ``masses`` (both are stable reverse sorts)."""
     if not isinstance(d, Distribution):
         return sorted(_caller_masses(d), reverse=True)
-    _caller_masses(d.masses)
-    return d.masses
+    return _checked(d).masses
 
 
 def _positive_masses(d: Distribution | Sequence[float]) -> list[float]:
@@ -245,7 +252,8 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
     ``log2(sum(x ** alpha)) / (1 - alpha)``; orders within 1e-9 of 1 are
     rejected rather than silently switched to the Shannon limit. Where that
     sum falls below the smallest normal float, as it does at large orders,
-    the largest mass M is factored out:
+    or overflows, as it can on masses above 1, the largest mass M is
+    factored out:
     ``(alpha * log2(M) + log2(sum((x / M) ** alpha))) / (1 - alpha)``.
 
     Raises:
@@ -259,10 +267,13 @@ def renyi_entropy(d: Distribution | Sequence[float], alpha: float) -> float:
     positive = _positive_masses(d)
     if not positive:
         return 0.0
-    power_sum = math.fsum(map(pow, positive, repeat(alpha)))
-    if power_sum < sys.float_info.min:
-        # underflowed to zero or lost bits to subnormals; the scaled sum
-        # holds a term of exactly 1, so it cannot
+    try:
+        power_sum = math.fsum(map(pow, positive, repeat(alpha)))
+    except OverflowError:  # masses above 1 can overflow a term or the sum
+        power_sum = math.inf
+    if not sys.float_info.min <= power_sum < math.inf:
+        # underflowed to zero, lost bits to subnormals or overflowed; the
+        # scaled sum holds a term of exactly 1 and none above it, so it cannot
         top = max(positive)
         scaled = math.fsum(map(pow, map(operator.truediv, positive, repeat(top)), repeat(alpha)))
         return (alpha * math.log2(top) + math.log2(scaled)) / (1.0 - alpha) + 0.0

@@ -21,6 +21,7 @@ from itertools import chain, repeat, zip_longest
 from .distributions import (
     INTERNAL_TOL,
     Distribution,
+    _checked,
     _sorted_distribution,
     _sorted_masses,
     as_distribution,
@@ -100,13 +101,13 @@ def _glb(pm: Sequence[float], qm: Sequence[float]) -> Distribution:
 
 
 def glb_many(ds: Sequence[Distribution | Sequence[float]]) -> Distribution:
-    """Left fold of :func:`glb` over one or more distributions."""
+    """Left fold of :func:`glb` over one or more inputs, each checked once."""
     if len(ds) == 0:
         raise EmptyError("glb_many requires at least one distribution")
-    acc = ds[0]
+    acc = _checked(ds[0])
     for d in ds[1:]:
-        acc = glb(acc, d)
-    return as_distribution(acc)
+        acc = _glb(acc.masses, _sorted_masses(d))
+    return acc
 
 
 def half(p: Distribution | Sequence[float]) -> Distribution:

@@ -1,8 +1,8 @@
 """Couplings of k marginals via a tree of pairwise merges.
 
-Each leaf is one marginal with single-index tags; each internal node couples
-its children's mass vectors with the sparse pairwise engine and concatenates
-their tags, so every tag carries one coordinate per leaf below the node.
+Each leaf is one marginal, checked once, with single-index tags; each internal
+node couples its children's masses with the sparse engine's check-free walk
+and concatenates their tags, so every tag carries one coordinate per leaf.
 Adjacent nodes merge level by level and an odd last node moves up a level
 unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
 its budget at most once per level, giving H <= H(glb of all marginals) +
@@ -25,11 +25,13 @@ from .coupling import (
     _CellStore,
     _first_bad_cell,
     _line_sums,
+    _pad,
     _unit,
-    min_entropy_coupling_sparse,
+    _walk,
 )
 from .distributions import (
     Distribution,
+    _checked,
     _sorted_distribution,
     shannon_entropy,
 )
@@ -122,12 +124,12 @@ def _leaf(d: Distribution) -> _Node:
 
 
 def _couple(left: _Node, right: _Node) -> _Node:
-    # the cells of the pairwise coupling of two mass-sorted nodes, in engine
-    # order: their values, and the row's tag joined to the column's
+    # the cells of the pairwise coupling of two mass-sorted nodes of checked
+    # leaves, in engine order: their values, and the row's tag joined to the column's
     (left_masses, left_tags), (right_masses, right_tags) = left, right
     dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
     dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
-    coupling = min_entropy_coupling_sparse(dl, dr)
+    coupling, _ = _walk(*_pad(dl, dr), False)
     tags = list(map(
         operator.add,
         map(left_tags.__getitem__, coupling.rows),
@@ -165,7 +167,7 @@ def min_entropy_joint_k(
         raise TooFewError("coupling requires at least two distributions")
     # the marginals are checked and rescaled here, once, so that the merges
     # and the debug witness see the same leaves
-    dists = [_unit(d) for d in ds]
+    dists = [_unit(_checked(d)) for d in ds]
     dims = tuple(d.n for d in dists)
 
     nodes = [_leaf(d) for d in dists]

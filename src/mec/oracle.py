@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coupling import SparseCoupling, _from_cells
-from .distributions import Distribution, _caller_order, shannon_entropy
+from .distributions import Distribution, _caller_order, _checked, shannon_entropy
 from .errors import InternalError, TooLargeError
 
 CELL_CAP = 20
@@ -177,13 +177,16 @@ def enumerate_vertices(
     Works in caller index order for both marginals. Distinct trees often
     share a (degenerate) solution; solutions are deduplicated on their
     positive cells with values rounded to 1e-12, and the result is sorted by
-    that same key.
+    that same key. Each marginal is checked once, p before q, as raw masses
+    are checked (a hand-built ``Distribution`` too).
 
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    pvec = _caller_order(p)
-    qvec = _caller_order(q)
+    # raw masses are checked, unsorted, in _caller_order; a Distribution's
+    # masses get the same checks before they are unsorted
+    pvec = _caller_order(_checked(p) if isinstance(p, Distribution) else p)
+    qvec = _caller_order(_checked(q) if isinstance(q, Distribution) else q)
     n, m = len(pvec), len(qvec)
     if n * m > CELL_CAP:
         raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")

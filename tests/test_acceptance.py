@@ -1,4 +1,5 @@
-"""Acceptance gate: ten independent criteria, one test (one report line) each.
+"""Acceptance gate: ten independent criteria, one test (one report line) each,
+and beside criterion 09 a clock-free count of the work it times.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get a pass/fail line per
 criterion. Tolerances are pinned in the assertions; numbered instances are
@@ -17,6 +18,7 @@ from functools import lru_cache
 import pytest
 
 import mec
+from mec.coupling import MassPool
 from conftest import (
     H_REFERENCE_MATRIX,
     H_WORKED_GLB,
@@ -184,6 +186,34 @@ def test_criterion_09_sparse_engine_under_5s_at_1e5_with_loglinear_ratios():
         gc.enable()
     assert times[20_000] / times[10_000] <= 2.5
     assert times[40_000] / times[20_000] <= 2.5
+
+
+def test_criterion_09_queue_work_by_count_not_clock(monkeypatch):
+    # criterion 09's inputs, counted instead of timed: each glb component
+    # splits at most once, and only a split pushes a piece, so a walk over n
+    # components makes at most n - 1 pushes (index 0 cannot overflow) and
+    # emits at most 2n - 1 cells. Every queued record is popped once, so the
+    # heap work is O(n log n) with no host noise. The same holds for the
+    # walk under a k-way merge
+    def sorted_marginal(seed: int, n: int) -> mec.Distribution:
+        rng = random.Random(seed)
+        values = sorted((rng.random() + 1e-9 for _ in range(n)), reverse=True)
+        total = math.fsum(values)
+        return mec.Distribution(tuple(v / total for v in values), tuple(range(n)))
+
+    pushes = []
+    push = MassPool.push
+    monkeypatch.setattr(MassPool, "push",
+                        lambda pool, mass, origin: pushes.append(mass) or push(pool, mass, origin))
+    for n in (10_000, 20_000, 40_000):
+        p = sorted_marginal(900 + n, n)
+        q = sorted_marginal(901 + n, n)
+        for couple in (lambda: mec.min_entropy_coupling_sparse(p, q),
+                       lambda: mec.min_entropy_joint_k([p, q])):
+            pushes.clear()
+            cells = len(couple().values())
+            assert 0 < len(pushes) <= n - 1
+            assert cells <= 2 * n - 1
 
 
 def test_criterion_10_metric_sandwich_on_the_oracle_instances():

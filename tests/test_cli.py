@@ -110,10 +110,10 @@ class TestCoupleCommand:
     @pytest.mark.parametrize("big_side", ["p", "q"])
     def test_dense_format_over_the_cap_is_an_input_error(self, capsys, files, monkeypatch,
                                                           big_side):
-        def engine_must_not_run(p, q):
+        def engine_must_not_run(*args):
             raise AssertionError("an engine ran on a document that is refused")
 
-        monkeypatch.setattr(cli, "min_entropy_coupling_sparse", engine_must_not_run)
+        monkeypatch.setattr(cli, "_walk", engine_must_not_run)
         n = DENSE_CAP + 1
         sides = {"p": [1.0], "q": [1.0]}
         sides[big_side] = [1.0 / n] * n

@@ -25,8 +25,9 @@ from mec.coupling import (
     MassPool,
     _first_bad_cell,
     _from_cells,
-    _prepare,
+    _pad,
 )
+from mec.distributions import _checked
 from conftest import (
     H_WORKED_GLB,
     WORKED_P,
@@ -977,7 +978,7 @@ def reference_prepare(p, q):
     """``_prepare`` as it stood with the role swap: the first marginal of the
     walk is the one that dominates at the last index where the sorted
     masses differ, and ``swapped`` says whether that is ``q``."""
-    dp, dq, n_rows, n_cols = _prepare(p, q)
+    dp, dq, n_rows, n_cols = _pad(_checked(p), _checked(q))
     swapped = False
     for j in range(dp.n - 1, -1, -1):
         if dp.masses[j] != dq.masses[j]:

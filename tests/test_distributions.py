@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mec
@@ -276,10 +276,15 @@ class TestRenyiEntropy:
         )
 
     @given(mass_vectors(), st.sampled_from([0.5, 2.0, 3.0, 10.0, 50.0]))
+    # masses above 1 whose power sum is a normal float, up to the largest one
+    @example([2.0, 2.0], 3.0)
+    @example([1e100, 1e100], 3.0)
+    @example([1e154], 2.0)
+    @example([3.0, 1.0], 600.0)
     @settings(max_examples=60, deadline=None)
     def test_a_normal_power_sum_keeps_the_plain_formula(self, raw, alpha):
         power_sum = math.fsum(x**alpha for x in raw)
-        assert power_sum >= sys.float_info.min
+        assert sys.float_info.min <= power_sum < math.inf
         want = math.log2(power_sum) / (1.0 - alpha) + 0.0
         assert mec.renyi_entropy(raw, alpha).hex() == want.hex()
 
@@ -292,6 +297,16 @@ class TestRenyiEntropy:
     ])
     def test_an_underflowing_power_sum_factors_out_the_largest_mass(self, raw, alpha, want):
         assert mec.renyi_entropy(raw, alpha) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("raw, alpha, want", [
+        # pow overflows on a term
+        ([2.0, 2.0], 2000.0, -2001 / 1999),
+        ([1e300, 1e300], 2.0, -1994.1568569324174),
+        # every term is finite, and fsum overflows on their sum
+        ([1e154, 1e154], 2.0, -(2.0 * math.log2(1e154) + 1.0)),
+    ])
+    def test_an_overflowing_power_sum_factors_out_the_largest_mass(self, raw, alpha, want):
+        assert mec.renyi_entropy(raw, alpha) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [120, 1500])
     def test_large_orders_match_exact_arithmetic(self, alpha):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mec
+import mec.cli
 from mec.distributions import compensated_prefix
 from conftest import (
     H_WORKED_GLB,
@@ -303,46 +305,87 @@ class TestGlbOnInvalidRawInput:
         want = raised(mec.make_distribution, list(bad.masses))
         good = mec.make_distribution(self.GOOD)
         pairwise = (mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse,
-                    mec.glb, mec.majorizes, mec.kl_divergence)
+                    mec.glb, mec.majorizes, mec.kl_divergence, mec.bounds_report,
+                    mec.metric_estimate, mec.brute_force_min_entropy, mec.enumerate_vertices)
         for f in pairwise:
             for args in ((bad, self.GOOD), (self.GOOD, bad), (bad, good), (good, bad)):
                 assert raised(f, *args) == want, (f.__name__, args)
         for ds in ([bad, self.GOOD, good], [self.GOOD, good, bad]):
             assert raised(mec.min_entropy_joint_k, ds) == want
             assert raised(mec.min_entropy_joint_k, ds, True) == want
+        # a lone input is checked too, not passed through
+        for f in (mec.glb_many, mec.joint_lower_bound_k, mec.frl_bounds):
+            for ds in ([bad], [bad, self.GOOD], [good, bad]):
+                assert raised(f, ds) == want, (f.__name__, ds)
+
+    @staticmethod
+    def counted(monkeypatch) -> tuple[list, list]:
+        """Lists that collect, from here on, the masses of each pass of the
+        marginal checks (``_caller_masses``) and the arguments of each call
+        of the glb kernel (``_glb``, wherever a module binds it)."""
+        checks, glbs = [], []
+        check, kernel = mec.distributions._caller_masses, mec.majorization._glb
+        monkeypatch.setattr(mec.distributions, "_caller_masses",
+                            lambda raw, *a, **k: checks.append(raw) or check(raw, *a, **k))
+        for module in (mec.majorization, mec.coupling, mec.reports):
+            monkeypatch.setattr(module, "_glb", lambda *a: glbs.append(a) or kernel(*a))
+        return checks, glbs
 
     def test_each_engine_checks_each_marginal_once(self, monkeypatch):
         # one pass of the checks per marginal, raw or built, and none on the glb
-        calls = []
-        check = mec.distributions._caller_masses
-        monkeypatch.setattr(mec.distributions, "_caller_masses",
-                            lambda raw, *a: calls.append(raw) or check(raw, *a))
+        calls, glbs = self.counted(monkeypatch)
         good = mec.make_distribution(self.GOOD)
         for engine in (mec.min_entropy_coupling_dense, mec.min_entropy_coupling_sparse):
             calls.clear()
+            glbs.clear()
             engine(self.GOOD, good)
             assert calls == [self.GOOD, good.masses]
+            assert len(glbs) == 1
         calls.clear()
         mec.glb(self.GOOD, good)
         assert calls == [self.GOOD, good.masses]
 
     def test_each_report_checks_each_marginal_once(self, monkeypatch):
-        # bounds_report checks each marginal once; metric_estimate coerces
-        # raw masses once and its engine checks each marginal once
-        calls = []
-        check = mec.distributions._caller_masses
-        monkeypatch.setattr(mec.distributions, "_caller_masses",
-                            lambda raw, *a: calls.append(raw) or check(raw, *a))
+        # each marginal is checked once, raw or built; metric_estimate takes
+        # its glb from the engine's walk, so it computes one glb, as
+        # bounds_report does
+        calls, glbs = self.counted(monkeypatch)
         good = mec.make_distribution(self.GOOD)
-        calls.clear()
-        mec.bounds_report(self.GOOD, good)
-        assert calls == [self.GOOD, good.masses]
-        calls.clear()
-        mec.metric_estimate(self.GOOD, good)
-        assert calls == [self.GOOD, good.masses, good.masses]
-        calls.clear()
-        mec.metric_estimate(self.GOOD, self.GOOD)
-        assert len(calls) == 4
+        for report in (mec.bounds_report, mec.metric_estimate):
+            for q in (good, self.GOOD):
+                calls.clear()
+                glbs.clear()
+                report(self.GOOD, q)
+                assert calls == [self.GOOD, q.masses if q is good else q]
+                assert len(glbs) == 1
+
+    def test_each_k_way_entry_checks_each_marginal_once(self, monkeypatch):
+        # the merges of min_entropy_joint_k walk checked leaves, and glb_many
+        # folds the glb kernel, so each marginal is checked once, a lone one too
+        ds = [self.GOOD, mec.make_distribution(WORKED_P), WORKED_Q,
+              mec.make_distribution(self.GOOD)]
+        checked = [d.masses if isinstance(d, mec.Distribution) else d for d in ds]
+        calls, _ = self.counted(monkeypatch)
+        mec.min_entropy_joint_k(ds)
+        assert calls == checked
+        for f in (mec.glb_many, mec.joint_lower_bound_k, mec.frl_bounds):
+            for k in range(1, len(ds) + 1):
+                calls.clear()
+                f(ds[:k])
+                assert calls == checked[:k], (f.__name__, k)
+
+    def test_the_couple_command_checks_each_marginal_once(self, monkeypatch, tmp_path, capsys):
+        # mec couple checks each file's marginal once, and reports the entropy
+        # of the glb its engine walked, which it computes once
+        paths = []
+        for name, masses in (("p", WORKED_P), ("q", WORKED_Q)):
+            paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+            (tmp_path / f"{name}.json").write_text(json.dumps(masses), encoding="utf-8")
+        calls, glbs = self.counted(monkeypatch)
+        assert mec.cli.run(["couple", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["glb_entropy_bits"] == H_WORKED_GLB
+        assert calls == [list(WORKED_P), list(WORKED_Q)]
+        assert len(glbs) == 1
 
 
 class TestGlbMany:
