@@ -321,7 +321,7 @@ def aggregate(
 
     Raises:
         BadPartitionError: cells overlap, leave indices uncovered, or refer
-            to indices outside ``range(n)``.
+            to indices that are not integers or lie outside ``range(n)``.
     """
     values = _caller_order(d)
     n = len(values)
@@ -332,6 +332,9 @@ def aggregate(
         if not indices:
             raise BadPartitionError(f"cell {cell_no} is empty")
         for i in indices:
+            # an integer index is one a list accepts (1.0 and "1" are not)
+            if not hasattr(type(i), "__index__"):
+                raise BadPartitionError(f"cell {cell_no} index {i!r} is not an integer")
             if not 0 <= i < n:
                 raise BadPartitionError(f"cell {cell_no} index {i} outside range(0, {n})")
             if i in seen:

@@ -14,22 +14,25 @@ undone on backtrack) and ends a branch once too few edges remain, or once
 the last edge of a row or column has passed with that node still isolated.
 So it builds only trees, in the lexicographic order of
 ``itertools.combinations`` over the edges: each deduplicated vertex keeps the
-grid of the same first tree, and each argmin stays the same.
+cells of the same first tree, and each argmin stays the same.
 
-Tree enumeration (with peel schedules) is cached per (n_rows, n_cols) shape,
-so scoring many random instances of the same shape costs one enumeration.
-A schedule is a tuple of (node, other, edge_index) steps: peel ``node``
-through the edge at that position, whose far end is ``other``. Steps are
+Only the trees' peel schedules are cached, per (n_rows, n_cols) shape, so
+scoring many random instances of the same shape costs one enumeration. A
+schedule is a tuple of (node, other, edge_index) steps: peel ``node``
+through the tree's edge at that position, whose far end is ``other``; the
+edge is the cell (min(node, other), max(node, other) - n_rows). Steps are
 shared tuples from one per-shape table, so a cached schedule holds only
-references to them.
+references to them, and the cache stores no edge list.
 
 Each tree is scored in two passes. The first only checks feasibility: it
 walks the steps on a copy of the (p, q) residuals and stops at the first
 negative one. Few trees pass (about 3% at 4x5 and 11% at 2x10 on random
 marginals), and only those run the second pass, which repeats the same
 subtractions in the same order (so the floats are the same) and records
-each edge's value. A vertex grid is built only for a key not seen before,
-so the first tree to reach a vertex supplies its grid.
+each edge's value. The positive cells are kept only for a key not seen
+before, so the first tree to reach a vertex supplies its cells.
+``enumerate_vertices`` builds a grid for every vertex; brute force scores
+the cells' values and builds one grid, the argmin's.
 """
 
 from __future__ import annotations
@@ -75,16 +78,15 @@ class OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _tree_schedules(
-    n: int, m: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]], ...]:
-    """All spanning trees of K_{n,m} with leaf-peeling schedules.
+def _tree_schedules(n: int, m: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The leaf-peeling schedules of all spanning trees of K_{n,m}.
 
-    Nodes are rows 0..n-1 and columns n..n+m-1; each tree is returned as
-    (edges, schedule) where schedule lists (node, other, edge_index) in
-    elimination order: at each step the node has exactly one unprocessed
-    incident edge, edges[edge_index], whose other endpoint is ``other``.
-    Trees come in the lexicographic order of their edge indices r * m + c.
+    Nodes are rows 0..n-1 and columns n..n+m-1. Each tree's schedule lists
+    (node, other, edge_index) in elimination order: at each step the node
+    has exactly one unprocessed incident edge, the tree's edge_index-th in
+    index order, whose other endpoint is ``other``; that edge is the cell
+    (min(node, other), max(node, other) - n). Trees come in the
+    lexicographic order of their edge indices r * m + c.
     """
     node_count = n + m
     size = node_count - 1
@@ -99,7 +101,6 @@ def _tree_schedules(
     parent = list(range(node_count))  # union-find forest, undone on backtrack
     degree = [0] * node_count
     incident_sum = [0] * node_count  # sum of the positions of incident edges
-    picked: list[tuple[int, int]] = []
     end_sum: list[int] = []  # row node + column node, per picked position
     out = []
 
@@ -127,7 +128,7 @@ def _tree_schedules(
             deg[other] -= 1
             if deg[other] == 1:
                 leaves.append(other)
-        out.append((tuple(picked), tuple(schedule)))
+        out.append(tuple(schedule))
 
     def grow(start: int, depth: int, row_end: int) -> None:
         # the next edge leaves enough edges after it to finish the tree, and
@@ -135,14 +136,13 @@ def _tree_schedules(
         # row passed without an edge stays isolated
         stop = min(row_end, total - size + depth + 1)
         for ei in range(start, stop):
-            r, c = edge = all_edges[ei]
+            r, c = all_edges[ei]
             col = n + c
             a = find(r)
             b = find(col)
             if a == b:
                 continue
             parent[a] = b
-            picked.append(edge)
             end_sum.append(r + col)
             degree[r] += 1
             degree[col] += 1
@@ -157,7 +157,6 @@ def _tree_schedules(
             degree[r] -= 1
             degree[col] -= 1
             end_sum.pop()
-            picked.pop()
             parent[a] = a
             if degree[col] == 0 and r == n - 1:
                 # a column's last edge is in the last row: passing it
@@ -166,6 +165,63 @@ def _tree_schedules(
 
     grow(0, 0, m)
     return tuple(out)
+
+
+def _vertex_cells(
+    p: Distribution | Sequence[float],
+    q: Distribution | Sequence[float],
+) -> tuple[int, int, list[list[tuple[int, int, float]]]]:
+    """(n, m, cells): the positive (r, c, v) cells of each distinct vertex,
+    in (r, c) order, with the vertices sorted by their deduplication key.
+
+    Checks each marginal once, p before q, and the cell cap.
+    """
+    # raw masses are checked, unsorted, in _caller_order; a Distribution's
+    # masses get the same checks before they are unsorted
+    pvec = _caller_order(_checked(p) if isinstance(p, Distribution) else p)
+    qvec = _caller_order(_checked(q) if isinstance(q, Distribution) else q)
+    n, m = len(pvec), len(qvec)
+    if n * m > CELL_CAP:
+        raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
+    base = [*pvec, *qvec]
+    floor = -_ROUND
+    size = n + m - 1
+    # the cell of the edge between two nodes, by (node, other)
+    cell_of = [[(min(v, o), max(v, o) - n) for o in range(n + m)] for v in range(n + m)]
+    found: dict[tuple, list[tuple[int, int, float]]] = {}
+    for schedule in _tree_schedules(n, m):
+        # a peeled node has no edge left, so its residual is never read again
+        residual = base[:]
+        for node, other, _ in schedule:
+            v = residual[node]
+            if v < floor:
+                break
+            residual[other] -= v
+        else:
+            residual = base[:]
+            values = [0.0] * size
+            edges = [None] * size
+            for node, other, edge_idx in schedule:
+                v = residual[node]
+                values[edge_idx] = v
+                edges[edge_idx] = cell_of[node][other]
+                residual[other] -= v
+            # edges come in (r, c) order, so the cells do too
+            cells = [(r, c, v) for (r, c), v in zip(edges, values) if v > 0.0]
+            key = tuple((r, c, round(v / _ROUND)) for r, c, v in cells)
+            if key not in found:
+                found[key] = cells
+    return n, m, [found[key] for key in sorted(found)]
+
+
+def _vertex(n: int, m: int, cells: list[tuple[int, int, float]]) -> VertexCoupling:
+    grid = [[0.0] * m for _ in range(n)]
+    for r, c, v in cells:
+        grid[r][c] = v
+    return VertexCoupling(
+        tuple(tuple(row) for row in grid),
+        tuple((r, c) for r, c, _ in cells),
+    )
 
 
 def enumerate_vertices(
@@ -183,43 +239,8 @@ def enumerate_vertices(
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    # raw masses are checked, unsorted, in _caller_order; a Distribution's
-    # masses get the same checks before they are unsorted
-    pvec = _caller_order(_checked(p) if isinstance(p, Distribution) else p)
-    qvec = _caller_order(_checked(q) if isinstance(q, Distribution) else q)
-    n, m = len(pvec), len(qvec)
-    if n * m > CELL_CAP:
-        raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
-    base = [*pvec, *qvec]
-    floor = -_ROUND
-    found: dict[tuple, VertexCoupling] = {}
-    for edges, schedule in _tree_schedules(n, m):
-        # a peeled node has no edge left, so its residual is never read again
-        residual = base[:]
-        for node, other, _ in schedule:
-            v = residual[node]
-            if v < floor:
-                break
-            residual[other] -= v
-        else:
-            residual = base[:]
-            values = [0.0] * len(edges)
-            for node, other, edge_idx in schedule:
-                v = residual[node]
-                values[edge_idx] = v
-                residual[other] -= v
-            # edges come in (r, c) order, so the cells do too
-            cells = [(r, c, v) for (r, c), v in zip(edges, values) if v > 0.0]
-            key = tuple((r, c, round(v / _ROUND)) for r, c, v in cells)
-            if key not in found:
-                grid = [[0.0] * m for _ in range(n)]
-                for r, c, v in cells:
-                    grid[r][c] = v
-                found[key] = VertexCoupling(
-                    tuple(tuple(row) for row in grid),
-                    tuple((r, c) for r, c, _ in cells),
-                )
-    return [found[key] for key in sorted(found)]
+    n, m, vertices = _vertex_cells(p, q)
+    return [_vertex(n, m, cells) for cells in vertices]
 
 
 def brute_force_min_entropy(
@@ -235,13 +256,14 @@ def brute_force_min_entropy(
         TooLargeError: as :func:`enumerate_vertices`.
         InternalError: no vertex was scored (a broken enumeration).
     """
+    n, m, vertices = _vertex_cells(p, q)
     best_value = math.inf
-    best_vertex: VertexCoupling | None = None
-    for vertex in enumerate_vertices(p, q):
-        h = shannon_entropy(vertex.values())
+    best_cells = None
+    for cells in vertices:
+        h = shannon_entropy([v for _, _, v in cells])
         if h < best_value - 1e-15:
             best_value = h
-            best_vertex = vertex
-    if best_vertex is None:
+            best_cells = cells
+    if best_cells is None:
         raise InternalError("the coupling polytope has no scored vertex")
-    return OracleResult(best_value, best_vertex)
+    return OracleResult(best_value, _vertex(n, m, best_cells))

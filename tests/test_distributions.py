@@ -366,6 +366,10 @@ class TestAggregate:
             [{0}, {2}],  # not covering
             [{0}, {1}, {2}, {9}],  # out of range
             [{0}, set(), {1, 2}],  # empty cell
+            [[0], [1.5], [2]],  # not an integer
+            [[0], [1.0], [2]],  # a float, even an integral one
+            [[0], ["1"], [2]],  # a string
+            [[0], [None], [2]],  # no index at all
         ],
     )
     def test_rejects_bad_partitions(self, partition):

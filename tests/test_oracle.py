@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -67,6 +68,15 @@ def reference_tree_schedules(n: int, m: int):
     return tuple(out)
 
 
+def tree_edges(n: int, schedule):
+    """A tree's edges in index order, read off its schedule: step
+    (node, other, e) holds the e-th edge, whose row is the smaller node."""
+    edges = [None] * len(schedule)
+    for node, other, e in schedule:
+        edges[e] = (min(node, other), max(node, other) - n)
+    return tuple(edges)
+
+
 def reference_enumerate_vertices(p, q):
     """The one-pass tree loop the two-pass one replaced: it solves each tree
     while it checks it, and builds a grid for every feasible tree. It reads
@@ -77,7 +87,8 @@ def reference_enumerate_vertices(p, q):
     n, m = len(pvec), len(qvec)
     found = {}
     feasible_trees = 0
-    for edges, schedule in _tree_schedules(n, m):
+    for schedule in _tree_schedules(n, m):
+        edges = tree_edges(n, schedule)
         residual = list(pvec) + list(qvec)
         values = [0.0] * len(edges)
         feasible = True
@@ -146,11 +157,11 @@ def far_ends_and_pairs(n: int, edges, schedule):
 class TestTreeSchedules:
     def test_equals_the_exhaustive_enumerator(self):
         for n, m in shapes(16):
-            got = tuple(
-                (edges, far_ends_and_pairs(n, edges, schedule))
-                for edges, schedule in _tree_schedules(n, m)
-            )
-            assert got == reference_tree_schedules(n, m), (n, m)
+            got = []
+            for schedule in _tree_schedules(n, m):
+                edges = tree_edges(n, schedule)
+                got.append((edges, far_ends_and_pairs(n, edges, schedule)))
+            assert tuple(got) == reference_tree_schedules(n, m), (n, m)
 
     def test_counts_every_spanning_tree(self):
         # Scoins: K_{n,m} has n^(m-1) * m^(n-1) spanning trees
@@ -159,7 +170,8 @@ class TestTreeSchedules:
 
     def test_schedules_peel_each_tree_leaf_by_leaf(self):
         for n, m in shapes(CELL_CAP):
-            for edges, schedule in _tree_schedules(n, m):
+            for schedule in _tree_schedules(n, m):
+                edges = tree_edges(n, schedule)
                 assert len(set(edges)) == len(edges) == n + m - 1
                 pairs = far_ends_and_pairs(n, edges, schedule)
                 assert sorted(e for _, e in pairs) == list(range(len(edges)))
@@ -171,6 +183,19 @@ class TestTreeSchedules:
                     ]
                     assert live == [e], (n, m, edges, schedule)
                     peeled.add(e)
+
+    def test_cache_holds_only_schedules(self):
+        # __wrapped__ builds a fresh table, so the shared cache is neither
+        # cleared nor refilled; a 4x5 table of (edges, schedule) pairs
+        # retained 8.6 MiB
+        tracemalloc.start()
+        try:
+            schedules = _tree_schedules.__wrapped__(4, 5)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(schedules) == 32_000
+        assert retained < 5 * 2**20, retained
 
 
 class TestTwoPassLoopMatchesTheReference:
@@ -213,6 +238,26 @@ class TestTwoPassLoopMatchesTheReference:
             shared += feasible_trees > len(vertices)
         # degenerate vertices, reached by several feasible trees, occur
         assert shared >= 2
+
+    def test_brute_force_builds_only_the_argmin(self, monkeypatch):
+        built = []
+
+        def counting_vertex(grid, support):
+            built.append(support)
+            return VertexCoupling(grid, support)
+
+        monkeypatch.setattr(mec.oracle, "VertexCoupling", counting_vertex)
+        rng = random.Random(191)
+        instances = [([0.25] * 4, [0.25] * 4), ([0.5, 0.5], [0.5, 0.5])]
+        instances += [(random_masses(rng, n), random_masses(rng, m)) for n, m in shapes(12)]
+        several = 0
+        for p, q in instances:
+            built.clear()
+            res = mec.brute_force_min_entropy(p, q)
+            assert built == [res.argmin.support], (p, q)
+            several += len(mec.enumerate_vertices(p, q)) > 1
+        # a 1 x m or n x 1 instance has one vertex; the others have more to skip
+        assert several >= 10
 
 
 class TestEnumerateVertices:
@@ -323,6 +368,6 @@ class TestBruteForceMinEntropy:
 
     def test_no_vertex_is_an_internal_error(self, monkeypatch):
         # an invariant failure, raised even where python -O strips asserts
-        monkeypatch.setattr(mec.oracle, "enumerate_vertices", lambda p, q: [])
+        monkeypatch.setattr(mec.oracle, "_vertex_cells", lambda p, q: (2, 1, []))
         with pytest.raises(mec.InternalError):
             mec.brute_force_min_entropy([0.5, 0.5], [1.0])
