@@ -27,7 +27,6 @@ from collections.abc import Iterable
 from .coupling import (
     DENSE_CAP,
     SparseCoupling,
-    _pad,
     _walk,
     is_valid_coupling,
 )
@@ -280,7 +279,7 @@ def _execute(ns: argparse.Namespace) -> dict:
                 f"got {dp.n} x {dq.n}; use --format sparse"
             )
         # _dist checked both marginals; the walk returns the glb it walked
-        m, z = _walk(*_pad(dp, dq), False)
+        m, z = _walk(dp, dq)
         return _coupling_doc(m, shannon_entropy(z), dense=ns.output_format == "dense")
 
     if ns.subcommand == "couple-k":
@@ -328,7 +327,7 @@ def _execute(ns: argparse.Namespace) -> dict:
         dp, dq = _pair(ns)
         # the oracle's cell cap rejects oversized input before any coupling work
         opt = brute_force_min_entropy(dp, dq)
-        m, _ = _walk(*_pad(dp, dq), False)
+        m, _ = _walk(dp, dq)
         ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")

@@ -12,10 +12,12 @@ capped at ``DENSE_CAP`` components per side, and serves as the reference the
 sparse engine is audited against. The sparse engine keeps only the moved
 masses, in two min-priority queues keyed by mass, and runs in O(n log n)
 overall. Both resolve every row/column overflow through the one greedy split,
-:meth:`MassPool.split`. Each checks each marginal once, as raw masses are
-checked (a hand-built ``Distribution`` too), and never checks their glb.
-Callers that hold checked marginals call the sparse engine's check-free walk,
-``_walk``, which also returns the glb it walked, so that glb is computed once.
+:meth:`MassPool.split`; at each index at most one side overflows, and the
+sparse walk runs one loop body over the column side, then the row side. Each
+engine checks each marginal once, as raw masses are checked (a hand-built
+``Distribution`` too), and never checks their glb. Callers that hold checked
+marginals call the sparse engine's check-free walk, ``_walk``, which pads
+them itself and also returns the glb it walked, so that glb is computed once.
 
 Both engines report coordinates in the caller's original index order for each
 marginal, regardless of the internal sorting. They record the cells as three
@@ -450,79 +452,65 @@ def min_entropy_coupling_sparse(
     amount and requeues the remainder). Same output as the dense engine, bit
     for bit.
     """
-    return _walk(*_pad(_checked(p), _checked(q)), debug)[0]
+    return _walk(_checked(p), _checked(q), debug)[0]
 
 
-def _walk(dp: Distribution, dq: Distribution, n_rows: int, n_cols: int,
-          debug: bool) -> tuple[SparseCoupling, tuple[float, ...]]:
-    # the sparse engine's walk over _pad's output, unchecked; returns the glb z too
-    n = dp.n
+def _walk(dp: Distribution, dq: Distribution,
+          debug: bool = False) -> tuple[SparseCoupling, tuple[float, ...]]:
+    # the sparse engine's walk over two checked marginals, unchecked; it pads
+    # them (_pad) and returns the glb z too
+    dp, dq, n_rows, n_cols = _pad(dp, dq)
     pm, qm = dp.masses, dq.masses
     z = _glb(pm, qm).masses
-    q_col = MassPool()
-    q_row = MassPool()
-    col_heap, row_heap = q_col._heap, q_row._heap
     # the cells in working coordinates, as three parallel columns
     vals: list[float] = []
     wr: list[int] = []
     wc: list[int] = []
     add_val, add_row, add_col = vals.append, wr.append, wc.append
+    q_col = MassPool()
+    q_row = MassPool()
+    # one loop body serves both sides: a piece queued on a side keeps its
+    # fixed index and lands on that side's line i. Each side is its queue,
+    # its marginal, the appenders for the fixed index and for the line, and
+    # its name; columns go first
+    sides = ((q_col, qm, add_row, add_col, "column"),
+             (q_row, pm, add_col, add_row, "row"))
     splits: dict[int, tuple[float, float]] = {}
 
-    for i in range(n - 1, -1, -1):
+    for i in range(dp.n - 1, -1, -1):
         zi = z[i]
-        col_total = q_col._sum + q_col._err
-        row_total = q_row._sum + q_row._err
-        col_over = col_total + zi > qm[i] + INTERNAL_TOL
-        row_over = row_total + zi > pm[i] + INTERNAL_TOL
-        if col_over and row_over:
-            raise _both_overflow(i)
         z_d = zi
-        if col_over:
-            z_d, taken = q_col.split(zi, qm[i])
-            rest = zi - z_d
-            if rest > 0.0:
-                q_col.push(rest, i)
-                if debug:
-                    splits[i] = (z_d, rest)
-        else:
-            if debug and abs(col_total + zi - qm[i]) > NORMALIZATION_TOL:
-                raise InternalError(f"column {i} neither overflows nor balances")
-            # an empty queue only needs its total reset
-            if col_heap:
-                taken = q_col.drain()
+        over = False
+        for pool, line, add_fixed, add_line, name in sides:
+            total = pool._sum + pool._err
+            if total + zi > line[i] + INTERNAL_TOL:
+                if over:
+                    raise _both_overflow(i)
+                over = True
+                z_d, taken = pool.split(zi, line[i])
+                rest = zi - z_d
+                if rest > 0.0:
+                    pool.push(rest, i)
+                    if debug:
+                        splits[i] = (z_d, rest)
             else:
-                q_col._sum = q_col._err = 0.0
-                taken = ()
-        for mass, fixed_row in taken:
-            add_val(mass)
-            add_row(fixed_row)
-            add_col(i)
-        if row_over:
-            z_d, taken = q_row.split(zi, pm[i])
-            rest = zi - z_d
-            if rest > 0.0:
-                q_row.push(rest, i)
-                if debug:
-                    splits[i] = (z_d, rest)
-        else:
-            if debug and abs(row_total + zi - pm[i]) > NORMALIZATION_TOL:
-                raise InternalError(f"row {i} neither overflows nor balances")
-            if row_heap:
-                taken = q_row.drain()
-            else:
-                q_row._sum = q_row._err = 0.0
-                taken = ()
-        for mass, fixed_col in taken:
-            add_val(mass)
-            add_row(i)
-            add_col(fixed_col)
+                if debug and abs(total + zi - line[i]) > NORMALIZATION_TOL:
+                    raise InternalError(f"{name} {i} neither overflows nor balances")
+                # an empty queue only needs its total reset
+                if not pool._heap:
+                    pool._sum = pool._err = 0.0
+                    continue
+                taken = pool.drain()
+            for mass, fixed in taken:
+                add_val(mass)
+                add_fixed(fixed)
+                add_line(i)
         if z_d > 0.0:
             add_val(z_d)
             add_row(i)
             add_col(i)
 
-    if col_heap or row_heap:
+    if q_col or q_row:
         raise InternalError("leftover queued mass after the final index")
     if debug:
         _verify_split_conservation(vals, wr, wc, z, splits)

@@ -24,7 +24,6 @@ from .distributions import (
     _checked,
     _sorted_distribution,
     _sorted_masses,
-    as_distribution,
     compensated_prefix,
 )
 from .errors import EmptyError, SizeCapError
@@ -117,14 +116,13 @@ def half(p: Distribution | Sequence[float]) -> Distribution:
     entropy exactly one bit above the input's. Trailing zero components are
     duplicated too; strip them before calling if compactness matters.
     """
-    dp = as_distribution(p)
-    masses: list[float] = []
-    for x in dp.masses:
-        h = x / 2.0
-        masses.append(h)
-        masses.append(h)
-    # halving keeps the order
-    return _sorted_distribution(tuple(masses), tuple(range(len(masses))))
+    return _half(_checked(p))
+
+
+def _half(dp: Distribution) -> Distribution:
+    # :func:`half` of a checked marginal; halving keeps the order
+    masses = tuple(h for x in dp.masses for h in (x / 2.0, x / 2.0))
+    return _sorted_distribution(masses, tuple(range(len(masses))))
 
 
 def half_iter(
@@ -140,12 +138,12 @@ def half_iter(
     """
     if i < 0:
         raise ValueError(f"iteration count must be >= 0, got {i}")
-    dp = as_distribution(p)
+    dp = _checked(p)
     # from i = cap.bit_length() on, 2**i alone exceeds the cap: it is not built
     if i >= cap.bit_length():
         raise SizeCapError(f"half_iter would produce {dp.n} * 2**{i} components, cap is {cap}")
     if dp.n * (2**i) > cap:
         raise SizeCapError(f"half_iter would produce {dp.n * 2**i} components, cap is {cap}")
     for _ in range(i):
-        dp = half(dp)
+        dp = _half(dp)
     return dp

@@ -25,7 +25,6 @@ from .coupling import (
     _CellStore,
     _first_bad_cell,
     _line_sums,
-    _pad,
     _unit,
     _walk,
 )
@@ -129,7 +128,7 @@ def _couple(left: _Node, right: _Node) -> _Node:
     (left_masses, left_tags), (right_masses, right_tags) = left, right
     dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
     dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
-    coupling, _ = _walk(*_pad(dl, dr), False)
+    coupling, _ = _walk(dl, dr)
     tags = list(map(
         operator.add,
         map(left_tags.__getitem__, coupling.rows),

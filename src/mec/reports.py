@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .coupling import _pad, _walk
+from .coupling import _walk
 from .distributions import Distribution, _checked, _sorted_masses, shannon_entropy
 from .majorization import _glb
 
@@ -74,7 +74,7 @@ def metric_estimate(
     twice). Each marginal is checked once, and the glb computed once.
     """
     dp, dq = _checked(p), _checked(q)
-    m, z = _walk(*_pad(dp, dq), False)
+    m, z = _walk(dp, dq)
     h_alg = shannon_entropy(m.values())
     h_p = shannon_entropy(dp.masses)
     h_q = shannon_entropy(dq.masses)

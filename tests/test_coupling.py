@@ -339,23 +339,6 @@ class TestDenseCap:
             mec.min_entropy_coupling_dense([1.0], [1.0 / n] * n)
 
 
-class TestRoleSwap:
-    def test_swapped_arguments_transpose_the_coupling(self):
-        fwd = entries_by_cell(mec.min_entropy_coupling_sparse(WORKED_P, WORKED_Q))
-        rev = entries_by_cell(mec.min_entropy_coupling_sparse(WORKED_Q, WORKED_P))
-        assert rev == {(c, r): v for (r, c), v in fwd.items()}
-
-    def test_swap_on_random_pairs(self):
-        rng = random.Random(73)
-        for engine in ENGINES:
-            for _ in range(30):
-                p = random_masses(rng, rng.randint(1, 6))
-                q = random_masses(rng, rng.randint(1, 6))
-                fwd = entries_by_cell(engine(p, q))
-                rev = entries_by_cell(engine(q, p))
-                assert rev == {(c, r): v for (r, c), v in fwd.items()}
-
-
 class TestSparseCouplingType:
     def test_rejects_non_positive_value(self):
         with pytest.raises(ValueError):
@@ -1101,6 +1084,48 @@ class TestSparseEngineMatchesTheTupleWalk:
             assert engine_outcome(mec.min_entropy_coupling_sparse, a, b) == want
 
 
+class TestWalkInternalErrors:
+    """The sparse walk's checks of its own state, reached by a glb with one
+    component moved off its true value."""
+
+    P = [0.5, 0.3, 0.2]
+    Q = [0.6, 0.25, 0.15]
+
+    @staticmethod
+    def perturb_glb(monkeypatch, k: int, delta: float) -> None:
+        kernel = mec.coupling._glb
+
+        def perturbed(pm, qm):
+            z = kernel(pm, qm)
+            masses = list(z.masses)
+            masses[k] += delta
+            return mec.Distribution(tuple(masses), z.perm)
+
+        monkeypatch.setattr(mec.coupling, "_glb", perturbed)
+
+    def test_both_marginals_overflow(self, monkeypatch):
+        # z = (0.5, 0.3, 0.3): the last index overflows p's 0.2 and q's 0.15
+        self.perturb_glb(monkeypatch, -1, 0.1)
+        with pytest.raises(mec.InternalError) as info:
+            mec.min_entropy_coupling_sparse(self.P, self.Q)
+        assert str(info.value) == "both marginals overflow at index 2; state is corrupted"
+
+    def test_a_row_that_neither_overflows_nor_balances(self, monkeypatch):
+        # z = (0.5, 0.3, 0.18): column 2 overflows q's 0.15, row 2 falls
+        # short of p's 0.2
+        self.perturb_glb(monkeypatch, -1, -0.02)
+        with pytest.raises(mec.InternalError) as info:
+            mec.min_entropy_coupling_sparse(self.P, self.Q, debug=True)
+        assert str(info.value) == "row 2 neither overflows nor balances"
+
+    def test_a_column_that_neither_overflows_nor_balances(self, monkeypatch):
+        # the transpose: row 2 overflows, column 2 falls short
+        self.perturb_glb(monkeypatch, -1, -0.02)
+        with pytest.raises(mec.InternalError) as info:
+            mec.min_entropy_coupling_sparse(self.Q, self.P, debug=True)
+        assert str(info.value) == "column 2 neither overflows nor balances"
+
+
 def transposed_cells(m: mec.SparseCoupling) -> list[tuple[int, int, str]]:
     return sorted(zip(m.cols, m.rows, map(float.hex, m.values())))
 
@@ -1123,6 +1148,21 @@ class TestArgumentOrderTransposes:
         rev = engine(q, p)
         assert (rev.n_rows, rev.n_cols) == (fwd.n_cols, fwd.n_rows)
         assert list(zip(rev.rows, rev.cols, map(float.hex, rev.values()))) == transposed_cells(fwd)
+
+    def test_swapped_arguments_transpose_the_coupling(self):
+        fwd = entries_by_cell(mec.min_entropy_coupling_sparse(WORKED_P, WORKED_Q))
+        rev = entries_by_cell(mec.min_entropy_coupling_sparse(WORKED_Q, WORKED_P))
+        assert rev == {(c, r): v for (r, c), v in fwd.items()}
+
+    def test_swap_on_random_pairs(self):
+        rng = random.Random(73)
+        for engine in ENGINES:
+            for _ in range(30):
+                p = random_masses(rng, rng.randint(1, 6))
+                q = random_masses(rng, rng.randint(1, 6))
+                fwd = entries_by_cell(engine(p, q))
+                rev = entries_by_cell(engine(q, p))
+                assert rev == {(c, r): v for (r, c), v in fwd.items()}
 
 
 def pool_state(pool) -> tuple:

@@ -317,6 +317,8 @@ class TestGlbOnInvalidRawInput:
         for f in (mec.glb_many, mec.joint_lower_bound_k, mec.frl_bounds):
             for ds in ([bad], [bad, self.GOOD], [good, bad]):
                 assert raised(f, ds) == want, (f.__name__, ds)
+        for f, args in ((mec.half, (bad,)), (mec.half_iter, (bad, 0)), (mec.half_iter, (bad, 2))):
+            assert raised(f, *args) == want, (f.__name__, args)
 
     @staticmethod
     def counted(monkeypatch) -> tuple[list, list]:
