@@ -24,15 +24,19 @@ edge is the cell (min(node, other), max(node, other) - n_rows). Steps are
 shared tuples from one per-shape table, so a cached schedule holds only
 references to them, and the cache stores no edge list.
 
-Each tree is scored in two passes. The first only checks feasibility: it
-walks the steps on a copy of the (p, q) residuals and stops at the first
-negative one. Few trees pass (about 3% at 4x5 and 11% at 2x10 on random
-marginals), and only those run the second pass, which repeats the same
-subtractions in the same order (so the floats are the same) and records
-each edge's value. The positive cells are kept only for a key not seen
-before, so the first tree to reach a vertex supplies its cells.
-``enumerate_vertices`` builds a grid for every vertex; brute force scores
-the cells' values and builds one grid, the argmin's.
+Each call runs two passes. The first only checks feasibility: it walks each
+tree's steps on a copy of the (p, q) residuals, stops at the first negative
+one, and keeps the feasible trees in tree order. Few trees pass (about 3% at
+4x5 and 11% at 2x10 on random marginals). The second solves each feasible
+tree: it repeats the same subtractions in the same order (so the floats are
+the same) and records each step's value. A solved tree is keyed on its
+positive cells, with values rounded to 1e-12, and a key keeps the cells of
+the first tree to reach it. ``enumerate_vertices`` keys every feasible tree
+and builds a grid for each vertex. Brute force scores each solved tree's
+entropy first, keys only the trees within a slack of the least (one or a
+few on random marginals), scans their vertices and builds one grid, the
+argmin's; a comment above ``brute_force_min_entropy`` shows why the slack
+loses no bit.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coupling import SparseCoupling, _from_cells
-from .distributions import Distribution, _caller_order, _checked, shannon_entropy
+from .distributions import Distribution, _caller_order, _checked
 from .errors import InternalError, TooLargeError
 
 CELL_CAP = 20
@@ -167,12 +171,12 @@ def _tree_schedules(n: int, m: int) -> tuple[tuple[tuple[int, int, int], ...], .
     return tuple(out)
 
 
-def _vertex_cells(
+def _feasible_schedules(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
-) -> tuple[int, int, list[list[tuple[int, int, float]]]]:
-    """(n, m, cells): the positive (r, c, v) cells of each distinct vertex,
-    in (r, c) order, with the vertices sorted by their deduplication key.
+) -> tuple[int, int, list[float], list[tuple[tuple[int, int, int], ...]]]:
+    """(n, m, base, schedules): the residuals ``[*p, *q]`` in caller order
+    and the peel schedules of the feasible trees, in tree order.
 
     Checks each marginal once, p before q, and the cell cap.
     """
@@ -185,10 +189,7 @@ def _vertex_cells(
         raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
     base = [*pvec, *qvec]
     floor = -_ROUND
-    size = n + m - 1
-    # the cell of the edge between two nodes, by (node, other)
-    cell_of = [[(min(v, o), max(v, o) - n) for o in range(n + m)] for v in range(n + m)]
-    found: dict[tuple, list[tuple[int, int, float]]] = {}
+    feasible = []
     for schedule in _tree_schedules(n, m):
         # a peeled node has no edge left, so its residual is never read again
         residual = base[:]
@@ -198,20 +199,36 @@ def _vertex_cells(
                 break
             residual[other] -= v
         else:
-            residual = base[:]
-            values = [0.0] * size
-            edges = [None] * size
-            for node, other, edge_idx in schedule:
-                v = residual[node]
-                values[edge_idx] = v
-                edges[edge_idx] = cell_of[node][other]
-                residual[other] -= v
-            # edges come in (r, c) order, so the cells do too
-            cells = [(r, c, v) for (r, c), v in zip(edges, values) if v > 0.0]
-            key = tuple((r, c, round(v / _ROUND)) for r, c, v in cells)
-            if key not in found:
-                found[key] = cells
-    return n, m, [found[key] for key in sorted(found)]
+            feasible.append(schedule)
+    return n, m, base, feasible
+
+
+def _solve(base: list[float], schedule: tuple[tuple[int, int, int], ...]) -> list[float]:
+    """The value of each step's edge, in step order.
+
+    Repeats pass 1's subtractions in the same order, so the floats are the
+    same.
+    """
+    residual = base[:]
+    values = []
+    for node, other, _ in schedule:
+        v = residual[node]
+        values.append(v)
+        residual[other] -= v
+    return values
+
+
+def _keyed(
+    n: int, schedule: tuple[tuple[int, int, int], ...], values: list[float]
+) -> tuple[tuple, list[tuple[int, int, float]]]:
+    """(key, cells): a solved tree's positive (r, c, v) cells in (r, c)
+    order, and their deduplication key, the values rounded to 1e-12."""
+    cells = sorted(
+        (min(node, other), max(node, other) - n, v)
+        for (node, other, _), v in zip(schedule, values)
+        if v > 0.0
+    )
+    return tuple((r, c, round(v / _ROUND)) for r, c, v in cells), cells
 
 
 def _vertex(n: int, m: int, cells: list[tuple[int, int, float]]) -> VertexCoupling:
@@ -239,8 +256,36 @@ def enumerate_vertices(
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    n, m, vertices = _vertex_cells(p, q)
-    return [_vertex(n, m, cells) for cells in vertices]
+    n, m, base, schedules = _feasible_schedules(p, q)
+    found: dict[tuple, list[tuple[int, int, float]]] = {}
+    for schedule in schedules:
+        key, cells = _keyed(n, schedule, _solve(base, schedule))
+        found.setdefault(key, cells)
+    return [_vertex(n, m, found[key]) for key in sorted(found)]
+
+
+# Brute force keys only the trees whose entropy is within _NEAR of the least
+# tree's, and returns the same bits as keying every tree would:
+# - Two trees with one key have the same positive cells, each within about
+#   1e-12. Where both values are at least 1e-12, |d(-v log2 v)/dv| <= 38.5
+#   bounds their terms' difference by 3.9e-11; below 2e-12 each term is
+#   under 7.8e-11. Over at most 20 cells the trees' entropies differ by
+#   under 1.6e-9 bits.
+# - So a key whose first tree (in tree order) is more than _NEAR above the
+#   minimum is either not keyed, or keyed from a later tree at more than
+#   _NEAR - 1.6e-9 above it. Every key up to that level is keyed from its
+#   first tree, with the entropy and cells that keying every tree gives it,
+#   and the key holding the least tree lies within 1.6e-9 of the minimum.
+# - The scan replaces its best only with a key more than 1e-15 lower, so
+#   its winner lies within 1e-15 of the least key. Take a level t between
+#   1.6e-9 and _NEAR - 1.6e-9 above the minimum with no key in
+#   (t, t + 1e-15]; 32,000 trees cannot fill every such gap. The first key
+#   at or below t replaces any best above t + 1e-15, and no key above
+#   t + 1e-15 replaces a best at or below t, so either scan ends where the
+#   scan of the keys at or below t alone ends, and those keys are the same
+#   in both. This needs _NEAR above 3.2e-9 plus room for the gap; any
+#   _NEAR >= 1e-8 keeps a margin.
+_NEAR = 1e-6
 
 
 def brute_force_min_entropy(
@@ -249,21 +294,38 @@ def brute_force_min_entropy(
 ) -> OracleResult:
     """True minimum coupling entropy by exhaustive vertex scoring.
 
-    Returns the minimum in bits and the first vertex (in enumeration order)
-    attaining it.
+    Solves every feasible tree once and scores its entropy. Only the trees
+    within 1e-6 bits of the least are keyed and deduplicated as
+    :func:`enumerate_vertices` does, and their vertices are scanned in
+    dedup-key order; a vertex replaces the best so far only if its entropy
+    is more than 1e-15 lower. Returns the minimum in bits and the first
+    vertex in dedup-key order attaining it, the same bits as a scan of
+    every vertex of :func:`enumerate_vertices` gives.
 
     Raises:
         TooLargeError: as :func:`enumerate_vertices`.
-        InternalError: no vertex was scored (a broken enumeration).
+        InternalError: no tree is feasible (a broken enumeration).
     """
-    n, m, vertices = _vertex_cells(p, q)
+    n, m, base, schedules = _feasible_schedules(p, q)
+    if not schedules:
+        raise InternalError("the coupling polytope has no scored vertex")
+    scored = []
+    for schedule in schedules:
+        values = _solve(base, schedule)
+        # the float shannon_entropy returns for the tree's positive cells
+        h = -math.fsum([v * math.log2(v) for v in values if v > 0.0]) + 0.0
+        scored.append((h, schedule, values))
+    near = min(h for h, _, _ in scored) + _NEAR
+    found: dict[tuple, tuple[float, list[tuple[int, int, float]]]] = {}
+    for h, schedule, values in scored:
+        if h <= near:
+            key, cells = _keyed(n, schedule, values)
+            found.setdefault(key, (h, cells))
     best_value = math.inf
-    best_cells = None
-    for cells in vertices:
-        h = shannon_entropy([v for _, _, v in cells])
+    best_cells: list[tuple[int, int, float]] = []
+    for key in sorted(found):
+        h, cells = found[key]
         if h < best_value - 1e-15:
             best_value = h
             best_cells = cells
-    if best_cells is None:
-        raise InternalError("the coupling polytope has no scored vertex")
     return OracleResult(best_value, _vertex(n, m, best_cells))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import mec
@@ -64,6 +65,19 @@ def grid64_masses(rng: random.Random, n: int) -> list[float]:
         parts.append((c - prev) / 64.0)
         prev = c
     return parts
+
+
+def geometric_masses(rng: random.Random, n: int) -> list[float]:
+    """Masses exp(-50 k / n), shuffled and normalized to sum 1.
+
+    The smallest is e^-25 (1.4e-11) at n = 2 and, from n = 3 on, below
+    e^-33 (3.4e-15), far under the 1e-12 internal tolerance, so many oracle
+    vertices differ only in cells too small to move their entropy.
+    """
+    values = [math.exp(-50 * k / n) for k in range(n)]
+    rng.shuffle(values)
+    total = math.fsum(values)
+    return [v / total for v in values]
 
 
 def random_distribution(rng: random.Random, max_n: int = 8) -> mec.Distribution:

@@ -12,7 +12,7 @@ import pytest
 import mec
 from mec.distributions import _caller_order
 from mec.oracle import _ROUND, CELL_CAP, OracleResult, VertexCoupling, _tree_schedules
-from conftest import grid64_masses, random_masses, zero_padded_masses
+from conftest import geometric_masses, grid64_masses, random_masses, zero_padded_masses
 
 
 def reference_tree_schedules(n: int, m: int):
@@ -139,6 +139,21 @@ def zero_containing_masses(rng: random.Random, n: int) -> list[float]:
     return zero_padded_masses(rng, n - zeros, zeros)
 
 
+def uniform_masses(rng: random.Random, n: int) -> list[float]:
+    return [1.0 / n] * n
+
+
+def nudged_grid64_masses(rng: random.Random, n: int) -> list[float]:
+    """``grid64_masses`` with 1e-13 moved from one component to another, so
+    vertices that tie on the dyadic grid differ below the dedup rounding."""
+    masses = grid64_masses(rng, n)
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        masses[i] -= 1e-13
+        masses[j] += 1e-13
+    return masses
+
+
 def shapes(cap: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(1, cap + 1) for m in range(1, cap // n + 1)]
 
@@ -259,6 +274,47 @@ class TestTwoPassLoopMatchesTheReference:
         # a 1 x m or n x 1 instance has one vertex; the others have more to skip
         assert several >= 10
 
+    def test_optimum_is_bit_identical_where_trees_crowd_the_minimum(self):
+        # brute force keys only the trees within 1e-6 bits of the least; these
+        # families put many trees there: uniform marginals tie whole sets of
+        # vertices, dyadic ones tie some, the nudged dyadic ones split ties
+        # below the dedup rounding, and geometric tails leave cells too small
+        # to move the entropy
+        rng = random.Random(197)
+        families = (uniform_masses, grid64_masses, nudged_grid64_masses, geometric_masses)
+        for n, m in shapes(CELL_CAP):
+            for masses in families:
+                p = masses(rng, n)
+                q = masses(rng, m)
+                res = mec.brute_force_min_entropy(p, q)
+                ref = reference_brute_force_min_entropy(p, q)
+                assert res.opt_value.hex() == ref.opt_value.hex(), (p, q)
+                assert vertex_bits(res.argmin) == vertex_bits(ref.argmin), (p, q)
+
+    def test_brute_force_keys_only_the_trees_near_the_minimum(self, monkeypatch):
+        # the saving counted instead of timed: enumerate_vertices keys every
+        # feasible tree, hundreds at 4x5 and 2x10 on random marginals, and
+        # brute force keys only the few within 1e-6 bits of the least
+        keyed = []
+        key = mec.oracle._keyed
+        monkeypatch.setattr(mec.oracle, "_keyed",
+                            lambda n, schedule, values: keyed.append(schedule) or key(n, schedule, values))
+        rng = random.Random(193)
+        for n, m in ((4, 5), (2, 10)):
+            many = 0
+            for _ in range(5):
+                p = random_masses(rng, n)
+                q = random_masses(rng, m)
+                keyed.clear()
+                mec.brute_force_min_entropy(p, q)
+                assert 1 <= len(keyed) <= 4, (p, q)
+                keyed.clear()
+                mec.enumerate_vertices(p, q)
+                _, feasible_trees = reference_enumerate_vertices(p, q)
+                assert len(keyed) == feasible_trees, (p, q)
+                many += feasible_trees >= 100
+            assert many >= 3, (n, m)
+
 
 class TestEnumerateVertices:
     def test_single_cell(self):
@@ -368,6 +424,7 @@ class TestBruteForceMinEntropy:
 
     def test_no_vertex_is_an_internal_error(self, monkeypatch):
         # an invariant failure, raised even where python -O strips asserts
-        monkeypatch.setattr(mec.oracle, "_vertex_cells", lambda p, q: (2, 1, []))
+        monkeypatch.setattr(mec.oracle, "_feasible_schedules",
+                            lambda p, q: (2, 1, [0.5, 0.5, 1.0], []))
         with pytest.raises(mec.InternalError):
             mec.brute_force_min_entropy([0.5, 0.5], [1.0])
