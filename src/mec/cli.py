@@ -21,12 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from collections.abc import Iterable
+from itertools import repeat
 
 from .coupling import (
     DENSE_CAP,
     SparseCoupling,
+    _finish,
     _walk,
     is_valid_coupling,
 )
@@ -138,6 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _vector(obj: object, field: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{field}: expected a non-empty array of numbers")
+    # json.loads gives floats: an array of nothing else is its own values,
+    # cleared in one C-level pass
+    if all(map(operator.is_, map(type, obj), repeat(float))):
+        return obj.copy()
     values = []
     for i, x in enumerate(obj):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -279,8 +286,9 @@ def _execute(ns: argparse.Namespace) -> dict:
                 f"got {dp.n} x {dq.n}; use --format sparse"
             )
         # _dist checked both marginals; the walk returns the glb it walked
-        m, z = _walk(dp, dq)
-        return _coupling_doc(m, shannon_entropy(z), dense=ns.output_format == "dense")
+        cells, z = _walk(dp, dq)
+        return _coupling_doc(_finish(*cells), shannon_entropy(z),
+                             dense=ns.output_format == "dense")
 
     if ns.subcommand == "couple-k":
         rows = _load_dists(ns)
@@ -327,7 +335,7 @@ def _execute(ns: argparse.Namespace) -> dict:
         dp, dq = _pair(ns)
         # the oracle's cell cap rejects oversized input before any coupling work
         opt = brute_force_min_entropy(dp, dq)
-        m, _ = _walk(dp, dq)
+        m = _finish(*_walk(dp, dq)[0])
         ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")

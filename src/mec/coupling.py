@@ -19,12 +19,18 @@ engine checks each marginal once, as raw masses are checked (a hand-built
 marginals call the sparse engine's check-free walk, ``_walk``, which pads
 them itself and also returns the glb it walked, so that glb is computed once.
 
-Both engines report coordinates in the caller's original index order for each
-marginal, regardless of the internal sorting. They record the cells as three
-flat columns (value, row, column) in sorted working positions and share one
-output step: it maps the index columns through the sort permutations and
-orders the cells by two stable sorts, by column and then by row, which is the
-(row, col) order.
+Both engines record the cells as three flat columns (value, row, column) in
+sorted working positions. The walk returns these raw cells, unordered and
+unchecked, with the padded marginals and their lengths. One output step,
+``_finish``, turns them into a :class:`SparseCoupling` in the caller's
+original index order for each marginal: it maps the index columns through the
+sort permutations, orders the cells by two stable sorts, by column and then
+by row, which is the (row, col) order, and checks them. The sparse engine,
+the dense engine and the CLI's ``couple`` and ``oracle-check`` run it. A
+caller that needs no cell order, as the k-way merges and ``metric_estimate``
+do, reads the raw cells through ``_raw_cells`` instead, which runs the same
+checks as C-level passes and leaves any failure to ``_finish``, so that it
+raises the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -452,13 +458,21 @@ def min_entropy_coupling_sparse(
     amount and requeues the remainder). Same output as the dense engine, bit
     for bit.
     """
-    return _walk(_checked(p), _checked(q), debug)[0]
+    cells, _ = _walk(_checked(p), _checked(q), debug)
+    return _finish(*cells)
+
+
+# the walk's raw cells, as the arguments of _finish: values, rows and cols in
+# working coordinates and walk order, the padded marginals, and their lengths
+# before padding
+_Cells = tuple[list[float], list[int], list[int], Distribution, Distribution, int, int]
 
 
 def _walk(dp: Distribution, dq: Distribution,
-          debug: bool = False) -> tuple[SparseCoupling, tuple[float, ...]]:
+          debug: bool = False) -> tuple[_Cells, tuple[float, ...]]:
     # the sparse engine's walk over two checked marginals, unchecked; it pads
-    # them (_pad) and returns the glb z too
+    # them (_pad) and returns its raw cells, unordered and unchecked, and the
+    # glb z it walked
     dp, dq, n_rows, n_cols = _pad(dp, dq)
     pm, qm = dp.masses, dq.masses
     z = _glb(pm, qm).masses
@@ -514,7 +528,30 @@ def _walk(dp: Distribution, dq: Distribution,
         raise InternalError("leftover queued mass after the final index")
     if debug:
         _verify_split_conservation(vals, wr, wc, z, splits)
-    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols), z
+    return (vals, wr, wc, dp, dq, n_rows, n_cols), z
+
+
+def _raw_cells(cells: _Cells) -> tuple[list[float], list[int], list[int]]:
+    """The values, rows and cols of the walk's raw ``cells``, in working
+    coordinates and walk order, for a caller that needs no cell order.
+
+    They pass the checks :func:`_fill` runs, as one C-level pass each: values
+    positive and finite, indices in range, no repeated (row, col) and at most
+    2 * max(n_rows, n_cols) cells. The perms map working indices below
+    n_rows (n_cols) onto the caller's lines and padded ones past them, so the
+    checks agree with ``_fill``'s on caller coordinates. Any failure goes to
+    :func:`_finish`, which raises the ``ValueError`` it names for the first
+    bad cell in (row, col) order.
+    """
+    vals, wr, wc, _, _, n_rows, n_cols = cells
+    if not vals or (
+            min(vals) > 0.0 and all(map(math.isfinite, vals))
+            and min(wr) >= 0 and max(wr) < n_rows and min(wc) >= 0 and max(wc) < n_cols
+            and len(vals) <= 2 * max(n_rows, n_cols)
+            and len(set(zip(wr, wc))) == len(vals)):
+        return vals, wr, wc
+    _finish(*cells)
+    raise InternalError("the walk emitted a cell outside its working grid")
 
 
 def _verify_split_conservation(

@@ -1,14 +1,21 @@
 """Couplings of k marginals via a tree of pairwise merges.
 
-Each leaf is one marginal, checked once, with single-index tags; each internal
-node couples its children's masses with the sparse engine's check-free walk
-and concatenates their tags, so every tag carries one coordinate per leaf.
+Each leaf is one marginal, checked once, with one index column: its caller
+indices. Each internal node couples its children's masses with the sparse
+engine's check-free walk and reads the walk's raw cells, checked as
+``SparseCoupling``'s output step checks them but never ordered or built into
+a coupling; a check that fails goes to that step, which raises its
+``ValueError``. The node's index columns are its children's, read at each
+cell's row and col, so a node carries one column per leaf below it, and a
+mass's tag is its indices across them. Every node but the root is sorted by
+(-mass, tag) before it is coupled again, and the root by its coordinates,
+so no merge's cell order reaches the output.
+
 Adjacent nodes merge level by level and an odd last node moves up a level
 unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
 its budget at most once per level, giving H <= H(glb of all marginals) +
-ceil(log2 k) at the root. The root's cells are sorted by tag once and
-transposed into the index columns of a :class:`SparseJoint`, which shares
-its cell check with ``SparseCoupling``.
+ceil(log2 k) at the root. The root's sorted columns are the index columns of
+a :class:`SparseJoint`, which shares its cell check with ``SparseCoupling``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 from .coupling import (
     _bad_cell_walk,
@@ -25,6 +32,7 @@ from .coupling import (
     _CellStore,
     _first_bad_cell,
     _line_sums,
+    _raw_cells,
     _unit,
     _walk,
 )
@@ -94,9 +102,17 @@ def _fill(joint: SparseJoint, dims, coords, values) -> None:
         bad = _bad_cell_walk(dims, coords, values)
         columns = None if bad else tuple(zip(*coords))
     if bad is not None:
-        kind, i, axis = bad
-        raise ValueError(_ENTRY_ERRORS[kind].format(
-            coords=coords[i], value=values[i], axis=axis, k=k))
+        raise _entry_error(bad, dims, coords, values)
+    _set(joint, dims, columns, values)
+
+
+def _entry_error(bad, dims, coords, values) -> ValueError:
+    kind, i, axis = bad
+    return ValueError(_ENTRY_ERRORS[kind].format(
+        coords=coords[i], value=values[i], axis=axis, k=len(dims)))
+
+
+def _set(joint: SparseJoint, dims, columns, values) -> None:
     for name, value in zip(SparseJoint.__slots__, (dims, columns, values)):
         object.__setattr__(joint, name, value)
 
@@ -109,37 +125,57 @@ def axis_marginals(joint: SparseJoint) -> tuple[tuple[float, ...], ...]:
     )
 
 
-# A tree node is a pair (masses, tags): positive masses, each tagged with its
-# marginal coordinates. Tags start as single caller indices at the leaves and
-# grow by concatenation with every merge.
-_Node = tuple[Sequence[float], Sequence[tuple[int, ...]]]
+# A tree node is a pair (masses, columns): positive masses, and one index
+# column per leaf below the node, in axis order. Mass t sits at columns[a][t]
+# on leaf a's axis; a leaf's one column is its caller indices, and a merge
+# joins its row node's columns, read at each cell's row, to its column
+# node's, read at each cell's col. A mass's tag, its indices across the
+# columns, is unique within a node.
+_Node = tuple[Sequence[float], tuple[Sequence[int], ...]]
 
 
 def _leaf(d: Distribution) -> _Node:
     # zero components can never receive mass; the masses are checked and
     # sorted, so the positive ones come first
     k = bisect_left(d.masses, 0.0, key=operator.neg)
-    return d.masses[:k], tuple(zip(d.perm[:k]))
+    return d.masses[:k], (d.perm[:k],)
 
 
 def _couple(left: _Node, right: _Node) -> _Node:
     # the cells of the pairwise coupling of two mass-sorted nodes of checked
-    # leaves, in engine order: their values, and the row's tag joined to the column's
-    (left_masses, left_tags), (right_masses, right_tags) = left, right
+    # leaves, in walk order: their values, and the index columns of both
+    # nodes read at each cell. The walk's raw cells are checked as _finish
+    # checks them, and never ordered: _by_mass or the root orders every node
+    (left_masses, left_columns), (right_masses, right_columns) = left, right
     dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
     dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
-    coupling, _ = _walk(dl, dr)
-    tags = list(map(
-        operator.add,
-        map(left_tags.__getitem__, coupling.rows),
-        map(right_tags.__getitem__, coupling.cols),
-    ))
-    return coupling.values(), tags
+    values, rows, cols = _raw_cells(_walk(dl, dr)[0])
+    return values, (*_gather(left_columns, rows), *_gather(right_columns, cols))
+
+
+def _gather(columns, order) -> tuple[tuple[int, ...], ...]:
+    # each column read at the positions ``order``
+    return tuple(tuple(map(column.__getitem__, order)) for column in columns)
+
+
+def _by_tag(columns) -> list[int]:
+    # the positions of a node's masses in the order of their tags
+    tags = list(zip(*columns))
+    return sorted(range(len(tags)), key=tags.__getitem__)
 
 
 def _by_mass(node: _Node) -> _Node:
-    pairs = sorted(zip(*node), key=lambda t: (-t[0], t[1]))
-    return tuple(v for v, _ in pairs), tuple(tag for _, tag in pairs)
+    # the node sorted by (-mass, tag). One float sort settles distinct
+    # masses; only when two are equal does a stable mass sort run again,
+    # over the positions in tag order
+    values, columns = node
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    masses = tuple(map(values.__getitem__, order))
+    if any(map(operator.eq, masses, islice(masses, 1, None))):
+        order = _by_tag(columns)
+        order.sort(key=values.__getitem__, reverse=True)
+        masses = tuple(map(values.__getitem__, order))
+    return masses, _gather(columns, order)
 
 
 def min_entropy_joint_k(
@@ -193,12 +229,17 @@ def min_entropy_joint_k(
         # by mass once, here
         nodes = list(map(_by_mass, cells)) + nodes[rest]
 
-    # the root's cells are sorted once, by coordinates, which never repeat,
-    # and transposed into one index column per axis
-    values, tags = cells[0]
-    order = sorted(range(len(tags)), key=tags.__getitem__)
+    # the root's cells are sorted once, by coordinates, which never repeat;
+    # its index columns are the joint's, one per axis
+    values, columns = cells[0]
+    order = _by_tag(columns)
+    columns = _gather(columns, order)
+    values = tuple(map(values.__getitem__, order))
+    bad = _first_bad_cell(dims, columns, values)
+    if bad is not None:
+        raise _entry_error(bad, dims, list(zip(*columns)), values)
     joint = object.__new__(SparseJoint)
-    _fill(joint, dims, list(map(tags.__getitem__, order)), tuple(map(values.__getitem__, order)))
+    _set(joint, dims, columns, values)
     return joint
 
 

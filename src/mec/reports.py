@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .coupling import _walk
+from .coupling import _raw_cells, _walk
 from .distributions import Distribution, _checked, _sorted_masses, shannon_entropy
 from .majorization import _glb
 
@@ -71,11 +71,13 @@ def metric_estimate(
     ``d_hat`` uses the sparse engine's coupling entropy; ``lower`` replaces
     it with the entropy of the glb that engine walked. The true distance lies
     in [lower, d_hat], and d_hat - lower <= 2 bits (one engine gap counted
-    twice). Each marginal is checked once, and the glb computed once.
+    twice). Each marginal is checked once, and the glb computed once. The
+    entropy is an ``fsum`` over the walk's raw cells, which are checked but
+    never ordered: no cell order can change it.
     """
     dp, dq = _checked(p), _checked(q)
-    m, z = _walk(dp, dq)
-    h_alg = shannon_entropy(m.values())
+    cells, z = _walk(dp, dq)
+    h_alg = shannon_entropy(_raw_cells(cells)[0])
     h_p = shannon_entropy(dp.masses)
     h_q = shannon_entropy(dq.masses)
     h_glb = shannon_entropy(z)

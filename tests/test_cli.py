@@ -559,6 +559,75 @@ class TestInputValidation:
 _ENTROPY_1_BIT = '{\n  "entropy_bits": 1.0,\n  "alpha": null\n}\n'
 
 
+def reference_vector(obj: object, field: str) -> list[float]:
+    """``cli._vector`` as it stood before its all-float fast path: every item
+    checked and converted one by one."""
+    if not isinstance(obj, list) or not obj:
+        raise mec.InputError(f"{field}: expected a non-empty array of numbers")
+    values = []
+    for i, x in enumerate(obj):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise mec.InputError(f"{field}: expected numbers, found {x!r}")
+        try:
+            values.append(float(x))
+        except OverflowError as exc:
+            raise mec.InputError(f"{field}: component {i} is too large for a float") from exc
+    return values
+
+
+def vector_outcome(obj):
+    """The values as (type, float bits), or the type and text raised."""
+    try:
+        values = cli._vector(obj, "p")
+    except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
+        return type(exc), str(exc)
+    assert values is not obj
+    return [(type(v), v.hex()) for v in values]
+
+
+class TestVectorFastPath:
+    """An array of floats only, what ``json.loads`` gives, is copied in one
+    pass; any other array gets the old per-item checks, with their values
+    and messages."""
+
+    @pytest.mark.parametrize("text", [
+        "[0.25, 0.75]",
+        "[1, 0]",
+        "[0.5, 1]",
+        "[0.5, true]",
+        "[false, 1.0]",
+        '[0.5, "0.5"]',
+        "[0.5, [0.5]]",
+        "[[0.5, 0.5]]",
+        "[0.5, null]",
+        "[0.5, {}]",
+        "[0.5, 1" + "0" * 400 + "]",
+        "[1" + "0" * 400 + ", 0.5]",
+        "[NaN, 0.5]",
+        "[Infinity, -Infinity]",
+        "[-0.0, 1e-320, 1.7976931348623157e308]",
+        "[]",
+        "{}",
+        '"0.5"',
+        "0.5",
+    ], ids=["floats", "ints", "mixed", "bool", "bool-first", "string", "nested", "nested-only",
+            "null", "object", "huge-int", "huge-int-first", "nan", "infinities", "edge-floats",
+            "empty", "not-an-array", "string-document", "number-document"])
+    def test_same_values_or_same_error(self, text):
+        try:
+            want = [(type(v), v.hex()) for v in reference_vector(json.loads(text), "p")]
+        except mec.InputError as exc:
+            want = mec.InputError, str(exc)
+        assert vector_outcome(json.loads(text)) == want
+
+    def test_a_float_subclass_takes_the_item_loop(self):
+        class Half(float):
+            pass
+
+        values = cli._vector([Half(0.5), 0.5], "p")
+        assert list(map(type, values)) == [float, float] and values == [0.5, 0.5]
+
+
 class TestInputPaths:
     """Where each marginal comes from, and the exact bytes each path prints.
 

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import pickle
 import random
+from bisect import bisect_left
 
 import pytest
 
 import mec
-from conftest import WORKED_P, WORKED_Q, random_masses
+from mec import coupling, multiway, reports
+from mec.coupling import _finish, _unit, _walk
+from mec.distributions import _checked, _sorted_distribution
+from conftest import (
+    WORKED_P,
+    WORKED_Q,
+    geometric_masses,
+    grid64_masses,
+    random_masses,
+    zero_padded_masses,
+)
 
 
 def joint_cells(j: mec.SparseJoint) -> dict[tuple[int, ...], float]:
@@ -326,3 +338,249 @@ def test_scaled_marginals_keep_their_axis_marginals():
         assert j == mec.min_entropy_joint_k(ds), seed
         for got, want in zip(mec.axis_marginals(j), ds):
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, seed
+
+
+def reference_min_entropy_joint_k(ds) -> mec.SparseJoint:
+    """``min_entropy_joint_k`` as it stood when every merge built a
+    ``SparseCoupling``: tuple tags, one walk and one ``_finish`` per merge,
+    a lambda sort by (-mass, tag) for every node but the root, and the
+    root's tags sorted once and transposed."""
+    if len(ds) == 0:
+        raise mec.EmptyError("no distributions to couple")
+    if len(ds) == 1:
+        raise mec.TooFewError("coupling requires at least two distributions")
+    dists = [_unit(_checked(d)) for d in ds]
+    dims = tuple(d.n for d in dists)
+
+    def leaf(d):
+        k = bisect_left(d.masses, 0.0, key=operator.neg)
+        return d.masses[:k], tuple(zip(d.perm[:k]))
+
+    def couple(left, right):
+        (left_masses, left_tags), (right_masses, right_tags) = left, right
+        dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
+        dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
+        m = _finish(*_walk(dl, dr)[0])
+        tags = list(map(operator.add, map(left_tags.__getitem__, m.rows),
+                        map(right_tags.__getitem__, m.cols)))
+        return m.values(), tags
+
+    def by_mass(node):
+        pairs = sorted(zip(*node), key=lambda t: (-t[0], t[1]))
+        return tuple(v for v, _ in pairs), tuple(tag for _, tag in pairs)
+
+    nodes = [leaf(d) for d in dists]
+    while True:
+        cells = [couple(nodes[t], nodes[t + 1]) for t in range(0, len(nodes) - 1, 2)]
+        rest = slice(2 * len(cells), None)
+        if len(nodes) == 2:
+            break
+        nodes = list(map(by_mass, cells)) + nodes[rest]
+    values, tags = cells[0]
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    return mec.SparseJoint(dims, [mec.JointEntry(values[t], tags[t]) for t in order])
+
+
+def joint_outcome(build, ds):
+    """The joint's dims, columns and value bits, or the type and message
+    ``build`` raised."""
+    try:
+        j = build(ds)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
+        return type(exc), str(exc)
+    return j.dims, j.columns, [v.hex() for v in j.values()]
+
+
+# masses below the 1e-12 internal tolerance, which a zero target lets drain
+# into a padded line: the padded-column ValueError of ROADMAP item 1
+SUB_TOL_MASSES = (3e-14, 1e-13, 2e-13, 5e-13)
+
+
+def sub_tol_tail_masses(rng: random.Random, n: int) -> list[float]:
+    """``random_masses`` of n components, then up to three sub-1e-12 ones."""
+    tail = [rng.choice(SUB_TOL_MASSES) for _ in range(rng.randint(1, 3))]
+    head = random_masses(rng, n)
+    scale = 1.0 - math.fsum(tail)
+    return [x * scale for x in head] + tail
+
+
+MARGINAL_FAMILIES = {
+    "random": random_masses,
+    "zeros": lambda rng, n: zero_padded_masses(rng, n, rng.randint(1, 3)),
+    # multiples of 1/64: merged masses tie, so _by_mass breaks ties by tag
+    "grid64": lambda rng, n: grid64_masses(rng, min(n, 40)),
+    "geometric": geometric_masses,
+    "tail": sub_tol_tail_masses,
+}
+
+
+def bench_family(rng: random.Random, name: str, n: int) -> list[float]:
+    """The four mass families of the k-way benchmark, normalized."""
+    if name == "uniform":
+        values = [rng.random() for _ in range(n)]
+    elif name == "zipf":
+        values = [(k + 1) ** -1.1 for k in range(n)]
+        rng.shuffle(values)
+    elif name == "geometric":
+        values = [math.exp(-50.0 * k / n) for k in range(n)]
+        rng.shuffle(values)
+    else:
+        values = [1.0 + 0.01 * rng.random() for _ in range(n)]
+    total = math.fsum(values)
+    return [x / total for x in values]
+
+
+class TestMergeTreeMatchesTheReference:
+    """Merges that read the walk's raw cells and carry tags as index
+    columns give the joint of a tree whose every merge built a
+    ``SparseCoupling``: the same columns, float bits and order, or the same
+    exception and message."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_same_joint_or_same_exception(self, k, monkeypatch):
+        # count the tag sorts: one per root that passes its merge's checks,
+        # plus one per non-root node whose masses tie
+        tag_sorts = []
+        by_tag = multiway._by_tag
+        monkeypatch.setattr(multiway, "_by_tag",
+                            lambda *args: tag_sorts.append(1) or by_tag(*args))
+        rng = random.Random(2000 + k)
+        joints = raised = 0
+        for t in range(60):
+            # every fourth instance may draw the families with tiny tails,
+            # on which most trees raise
+            families = sorted(MARGINAL_FAMILIES) if t % 4 == 0 else ["grid64", "random", "zeros"]
+            names = [rng.choice(families) for _ in range(k)]
+            ds = [MARGINAL_FAMILIES[name](rng, rng.randint(1, 30)) for name in names]
+            want = joint_outcome(reference_min_entropy_joint_k, ds)
+            assert joint_outcome(mec.min_entropy_joint_k, ds) == want, names
+            joints += want[0] is not ValueError
+            raised += want[0] is ValueError
+        # both paths ran: joints, and the padded-column ValueError
+        assert joints and raised
+        if k > 2:
+            assert len(tag_sorts) > joints
+
+    def test_bench_scale_marginals(self):
+        rng = random.Random(2100)
+        for names in (("uniform", "zipf", "geometric", "flat"),
+                      ("flat", "uniform", "zipf", "geometric")):
+            ds = [bench_family(rng, name, n)
+                  for name, n in zip(names, (5_000, 20_000, 10_000, 15_000))]
+            assert (joint_outcome(mec.min_entropy_joint_k, ds)
+                    == joint_outcome(reference_min_entropy_joint_k, ds))
+
+
+def skewed_vs_flat_pair() -> tuple[list[float], list[float]]:
+    """A 38 x 7 pair on which the walk emits a cell in a padded column:
+    sub-1e-12 mass of the skewed marginal drains into a zero target."""
+    r = random.Random(6)
+    n1 = r.randint(2, 40)
+    n2 = r.randint(2, n1)
+    p = [r.random() ** 4 for _ in range(n1)]
+    q = [1 + 0.01 * r.random() for _ in range(n2)]
+    sp, sq = math.fsum(p), math.fsum(q)
+    return [x / sp for x in p], [x / sq for x in q]
+
+
+def corrupted(kind: str, cells):
+    """The walk's raw cells with one bad cell of the given kind."""
+    vals, wr, wc, dp, dq, n_rows, n_cols = cells
+    vals, wr, wc = list(vals), list(wr), list(wc)
+    if kind == "zero":
+        vals[-1] = 0.0
+    elif kind == "nan":
+        vals[-1] = math.nan
+    elif kind == "range":
+        # the first padded column: the rows outnumber the columns
+        wc[-1] = n_cols
+    elif kind == "repeat":
+        vals.append(vals[-1])
+        wr.append(wr[-1])
+        wc.append(wc[-1])
+    else:
+        # every cell of the n_rows x n_cols grid, more than the support bound
+        taken = set(zip(wr, wc))
+        for r in range(n_rows):
+            for c in range(n_cols):
+                if (r, c) not in taken:
+                    vals.append(1e-3)
+                    wr.append(r)
+                    wc.append(c)
+    return vals, wr, wc, dp, dq, n_rows, n_cols
+
+
+BAD_CELL_MESSAGES = {
+    "zero": "must be positive, got 0.0",
+    "nan": "must be finite, got nan",
+    "range": "outside 4 x 3",
+    "repeat": "duplicate entry at",
+    "count": "12 entries exceed the 2*max(n_rows, n_cols) support bound",
+}
+
+
+class TestRawCellsDeferToFinish:
+    """A merge and ``metric_estimate`` check the walk's raw cells as
+    ``_finish`` checks them, and leave every failure to ``_finish``, so they
+    raise its ``ValueError``, message and all."""
+
+    P4 = [0.4, 0.3, 0.2, 0.1]
+    Q3 = [0.5, 0.3, 0.2]
+
+    @pytest.fixture
+    def finish_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*cells):
+            calls.append(cells)
+            return _finish(*cells)
+
+        monkeypatch.setattr(coupling, "_finish", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CELL_MESSAGES))
+    @pytest.mark.parametrize("caller", ["merge", "metric_estimate"])
+    def test_a_bad_cell_raises_what_finish_raises(self, monkeypatch, finish_calls,
+                                                  kind, caller):
+        emitted = []
+
+        def bad_walk(dp, dq, debug=False):
+            cells, z = _walk(dp, dq, debug)
+            emitted.append(corrupted(kind, cells))
+            return emitted[-1], z
+
+        module = multiway if caller == "merge" else reports
+        monkeypatch.setattr(module, "_walk", bad_walk)
+        with pytest.raises(ValueError) as got:
+            if caller == "merge":
+                mec.min_entropy_joint_k([self.P4, self.Q3])
+            else:
+                mec.metric_estimate(self.P4, self.Q3)
+        assert len(emitted) == 1 and len(finish_calls) == 1
+        with pytest.raises(ValueError) as want:
+            _finish(*emitted[0])
+        assert str(got.value) == str(want.value)
+        assert BAD_CELL_MESSAGES[kind] in str(got.value)
+
+    def test_a_passing_joint_never_runs_finish(self, finish_calls):
+        rng = random.Random(2200)
+        j = mec.min_entropy_joint_k([random_masses(rng, n) for n in (5, 9, 3, 7)])
+        assert len(j.values()) > 0
+        assert finish_calls == []
+
+    def test_the_padded_column_defect_runs_finish_once(self, finish_calls):
+        p, q = skewed_vs_flat_pair()
+        assert (len(p), len(q)) == (38, 7)
+        want = joint_outcome(reference_min_entropy_joint_k, [p, q])
+        assert want[0] is ValueError and "outside" in want[1]
+        del finish_calls[:]
+        assert joint_outcome(mec.min_entropy_joint_k, [p, q]) == want
+        assert len(finish_calls) == 1
+        # metric_estimate raises what the sparse engine raises
+        with pytest.raises(ValueError) as engine:
+            mec.min_entropy_coupling_sparse(p, q)
+        del finish_calls[:]
+        with pytest.raises(ValueError) as metric:
+            mec.metric_estimate(p, q)
+        assert str(metric.value) == str(engine.value)
+        assert len(finish_calls) == 1
