@@ -25,12 +25,13 @@ unchecked, with the padded marginals and their lengths. One output step,
 ``_finish``, turns them into a :class:`SparseCoupling` in the caller's
 original index order for each marginal: it maps the index columns through the
 sort permutations, orders the cells by two stable sorts, by column and then
-by row, which is the (row, col) order, and checks them. The sparse engine,
-the dense engine and the CLI's ``couple`` and ``oracle-check`` run it. A
-caller that needs no cell order, as the k-way merges and ``metric_estimate``
-do, reads the raw cells through ``_raw_cells`` instead, which runs the same
-checks as C-level passes and leaves any failure to ``_finish``, so that it
-raises the same ``ValueError``.
+by row, which is the (row, col) order, and builds it through
+``_CellStore._fill``, the one checked build of both sparse types. The sparse
+engine, the dense engine and the CLI's ``couple`` and ``oracle-check`` run
+it. A caller that needs no cell order, as the k-way merges and
+``metric_estimate`` do, reads the raw cells through ``_raw_cells`` instead,
+which runs the same checks' C-level passes and leaves any failure to
+``_finish``, so that it raises the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -65,14 +66,53 @@ class CouplingEntry:
     col: int
 
 
+_CELL_ERRORS = {
+    "value": "entry ({cell[0]}, {cell[1]}) must be positive, got {value!r}",
+    "finite": "entry ({cell[0]}, {cell[1]}) must be finite, got {value!r}",
+    "range": "entry ({cell[0]}, {cell[1]}) outside {dims[0]} x {dims[1]}",
+    "duplicate": "duplicate entry at ({cell[0]}, {cell[1]})",
+}
+
+
 class _CellStore:
-    """What the two sparse types share: immutable, equal and hashed by their
-    ``_KEY`` fields, printed and pickled as the constructor call with their
-    ``_ARGS`` fields and ``entries``."""
+    """What the two sparse types share: one checked build, ``_fill``;
+    immutable, equal and hashed by their ``_KEY`` fields, printed and pickled
+    as the constructor call with their ``_ARGS`` fields and ``entries``."""
 
     __slots__ = ()
     _ARGS: tuple[str, ...] = ()
     _KEY: tuple[str, ...] = ()
+    # the ValueError message for each kind of bad cell (see _fill)
+    _ERRORS: dict[str, str] = {}
+
+    @classmethod
+    def _build(cls, dims, columns, values):
+        # a new store of the engines' cells, whose indices are all ints
+        store = object.__new__(cls)
+        store._fill(dims, columns, values)
+        return store
+
+    def _fill(self, dims, columns, values, cells=None) -> None:
+        # checks the cells and sets the fields of a new store: cell k has
+        # mass values[k] at columns[a][k] on axis a, which has dims[a] lines.
+        # The public constructors also pass the cells' indices as given, and
+        # no columns unless each cell is a tuple of one index per axis. Unless
+        # every index is an exact int, the cells are walked as given
+        if cells is None or columns is not None and all(map(_exactly, repeat(int), columns)):
+            bad = _first_bad_cell(dims, columns, values)
+        else:
+            bad = _bad_cell_walk(dims, cells, values)
+        if bad is not None:
+            kind, k, axis = bad
+            cell = cells[k] if columns is None else tuple(column[k] for column in columns)
+            raise ValueError(self._ERRORS[kind].format(
+                cell=cell, value=values[k], axis=axis, dims=dims, axes=len(dims)))
+        self._set(dims, tuple(zip(*cells)) if columns is None else columns, values)
+
+    def _set(self, dims, columns, values) -> None:
+        # the fields of a checked store, in slot order
+        for name, value in zip(self.__slots__, (dims, columns, values)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -115,13 +155,23 @@ class SparseCoupling(_CellStore):
     __slots__ = ("n_rows", "n_cols", "rows", "cols", "_values", "_checked")
     _ARGS = ("n_rows", "n_cols")
     _KEY = ("n_rows", "n_cols", "rows", "cols", "_values")
+    _ERRORS = _CELL_ERRORS
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[CouplingEntry]) -> None:
         entries = tuple(entries)
         rows, cols, values = (
             tuple(map(operator.attrgetter(name), entries)) for name in ("row", "col", "value")
         )
-        _fill(self, n_rows, n_cols, rows, cols, values)
+        self._fill((n_rows, n_cols), (rows, cols), values, zip(rows, cols))
+
+    def _set(self, dims, columns, values) -> None:
+        # the support bound, then the fields, and in _checked their objects
+        if len(values) > 2 * max(dims):
+            raise ValueError(
+                f"{len(values)} entries exceed the 2*max(n_rows, n_cols) support bound")
+        fields = (*dims, *columns, values)
+        for name, value in zip(self.__slots__, (*fields, fields)):
+            object.__setattr__(self, name, value)
 
     @property
     def entries(self) -> tuple[CouplingEntry, ...]:
@@ -129,16 +179,9 @@ class SparseCoupling(_CellStore):
         return tuple(map(CouplingEntry, self._values, self.rows, self.cols))
 
 
-def _from_cells(n_rows: int, n_cols: int, cells: list[tuple[int, int, float]]) -> SparseCoupling:
-    """Build a coupling from (row, col, value) cells.
-
-    The engines' construction path: it makes no :class:`CouplingEntry` and
-    runs the public constructor's checks, with its messages, on the columns.
-    """
-    rows, cols, values = (tuple(map(operator.itemgetter(k), cells)) for k in range(3))
-    m = object.__new__(SparseCoupling)
-    _fill(m, n_rows, n_cols, rows, cols, values)
-    return m
+def _exactly(kind: type, items) -> bool:
+    # every item is of type ``kind`` itself, in one C-level pass
+    return set(map(type, items)) <= {kind}
 
 
 def _all_within(index, n) -> bool:
@@ -158,25 +201,33 @@ def _first_bad_cell(dims, index, values):
     (else None); None if there is none. Cell k has mass ``values[k]`` at
     ``index[a][k]`` on axis a, which has ``dims[a]`` lines.
 
-    One C-level pass per check clears the usual case: finite positive
-    values, indices in range, and cells in strictly increasing order, as the
-    engines emit them, so that no cell can repeat. Anything else, cells in
-    another order included, is walked cell by cell. The walk names the first
-    bad cell and settles what the passes cannot, such as NaN.
+    The C-level passes of :func:`_cells_pass` clear the usual case; anything
+    else is walked cell by cell. The walk names the first bad cell and
+    settles what the passes cannot, such as NaN.
     """
-    if not values:
-        return None
-    if (min(values) > 0.0 and all(map(math.isfinite, values))
-            and all(map(_all_within, index, dims))
-            and all(map(operator.lt, _cells(index, len(values)),
-                        islice(_cells(index, len(values)), 1, None)))):
+    if _cells_pass(dims, index, values):
         return None
     return _bad_cell_walk(dims, _cells(index, len(values)), values)
 
 
+def _cells_pass(dims, index, values) -> bool:
+    # True if one C-level pass per check clears the cells, in any order:
+    # finite positive values, indices in range, and no repeated cell, which
+    # cells in strictly increasing order, as the engines emit them, clear by
+    # one compare each, and cells in any other order by one set of their
+    # index tuples; False leaves the verdict to the walk
+    count = len(values)
+    return not count or (
+        min(values) > 0.0 and all(map(math.isfinite, values))
+        and all(map(_all_within, index, dims))
+        and (all(map(operator.lt, _cells(index, count), islice(_cells(index, count), 1, None)))
+             or len(set(_cells(index, count))) == count))
+
+
 def _bad_cell_walk(dims, cells, values):
     # the walk of _first_bad_cell over the cells' index sequences, in order;
-    # a cell with the wrong number of indices is kind "arity"
+    # a cell with the wrong number of indices is kind "arity", and an index
+    # with no __index__, such as a float, is on no line: kind "range"
     seen = set()
     for k, (value, cell) in enumerate(zip(values, cells)):
         if value <= 0.0:
@@ -186,37 +237,12 @@ def _bad_cell_walk(dims, cells, values):
         if len(cell) != len(dims):
             return "arity", k, None
         for axis, (i, n) in enumerate(zip(cell, dims)):
-            if not 0 <= i < n:
+            if not (hasattr(type(i), "__index__") and 0 <= i < n):
                 return "range", k, axis
         if cell in seen:
             return "duplicate", k, None
         seen.add(cell)
     return None
-
-
-_CELL_ERRORS = {
-    "value": "entry ({row}, {col}) must be positive, got {value!r}",
-    "finite": "entry ({row}, {col}) must be finite, got {value!r}",
-    "range": "entry ({row}, {col}) outside {n_rows} x {n_cols}",
-    "duplicate": "duplicate entry at ({row}, {col})",
-}
-
-
-def _fill(m, n_rows, n_cols, rows, cols, values) -> None:
-    # checks the columns and sets the fields of a new ``m``
-    bad = _first_bad_cell((n_rows, n_cols), (rows, cols), values)
-    if bad is not None:
-        kind, k, _ = bad
-        raise ValueError(_CELL_ERRORS[kind].format(
-            row=rows[k], col=cols[k], value=values[k], n_rows=n_rows, n_cols=n_cols))
-    if len(values) > 2 * max(n_rows, n_cols):
-        raise ValueError(
-            f"{len(values)} entries exceed the 2*max(n_rows, n_cols) support bound"
-        )
-    for name, value in (("n_rows", n_rows), ("n_cols", n_cols), ("rows", rows),
-                        ("cols", cols), ("_values", values)):
-        object.__setattr__(m, name, value)
-    object.__setattr__(m, "_checked", (n_rows, n_cols, rows, cols, values))
 
 
 class MassPool:
@@ -349,10 +375,8 @@ def _finish(
     cols = list(map(dq.perm.__getitem__, wc))
     order = sorted(range(len(cols)), key=cols.__getitem__)
     order.sort(key=rows.__getitem__)
-    m = object.__new__(SparseCoupling)
-    _fill(m, n_rows, n_cols, tuple(map(rows.__getitem__, order)),
-          tuple(map(cols.__getitem__, order)), tuple(map(vals.__getitem__, order)))
-    return m
+    rows, cols, vals = (tuple(map(column.__getitem__, order)) for column in (rows, cols, vals))
+    return SparseCoupling._build((n_rows, n_cols), (rows, cols), vals)
 
 
 def _both_overflow(i: int) -> InternalError:
@@ -535,20 +559,15 @@ def _raw_cells(cells: _Cells) -> tuple[list[float], list[int], list[int]]:
     """The values, rows and cols of the walk's raw ``cells``, in working
     coordinates and walk order, for a caller that needs no cell order.
 
-    They pass the checks :func:`_fill` runs, as one C-level pass each: values
-    positive and finite, indices in range, no repeated (row, col) and at most
-    2 * max(n_rows, n_cols) cells. The perms map working indices below
-    n_rows (n_cols) onto the caller's lines and padded ones past them, so the
-    checks agree with ``_fill``'s on caller coordinates. Any failure goes to
-    :func:`_finish`, which raises the ``ValueError`` it names for the first
-    bad cell in (row, col) order.
+    They pass the support bound and the C-level passes of the cell check,
+    :func:`_cells_pass`, which clear cells in any order. The perms map
+    working indices below n_rows (n_cols) onto the caller's lines and padded
+    ones past them, so the passes agree with the check :func:`_finish` runs
+    on caller coordinates. Any failure goes to :func:`_finish`, which raises
+    the ``ValueError`` it names for the first bad cell in (row, col) order.
     """
     vals, wr, wc, _, _, n_rows, n_cols = cells
-    if not vals or (
-            min(vals) > 0.0 and all(map(math.isfinite, vals))
-            and min(wr) >= 0 and max(wr) < n_rows and min(wc) >= 0 and max(wc) < n_cols
-            and len(vals) <= 2 * max(n_rows, n_cols)
-            and len(set(zip(wr, wc))) == len(vals)):
+    if len(vals) <= 2 * max(n_rows, n_cols) and _cells_pass((n_rows, n_cols), (wr, wc), vals):
         return vals, wr, wc
     _finish(*cells)
     raise InternalError("the walk emitted a cell outside its working grid")

@@ -54,6 +54,11 @@ def compensated_prefix(values: Iterable[float]) -> list[float]:
     return prefixes
 
 
+def _check_order(masses: Sequence[float]) -> None:
+    if any(map(operator.lt, masses, masses[1:])):
+        raise ValueError("masses must be sorted non-increasingly")
+
+
 @dataclass(frozen=True, slots=True)
 class Distribution:
     """A probability vector in canonical (non-increasing) order.
@@ -69,11 +74,13 @@ class Distribution:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.masses) != len(self.perm):
+        n = len(self.perm)
+        if len(self.masses) != n:
             raise ValueError("masses and perm must have equal length")
-        m = self.masses
-        if any(map(operator.lt, m, m[1:])):
-            raise ValueError("masses must be sorted non-increasingly")
+        _check_order(self.masses)
+        # each of 0..n-1 once, as an integer: a float such as 1.0 is no index
+        if {i for i in self.perm if hasattr(type(i), "__index__")} != set(range(n)):
+            raise ValueError(f"perm must be a permutation of range({n})")
 
     @property
     def n(self) -> int:
@@ -94,9 +101,10 @@ class Distribution:
         """
         if n <= self.n:
             return self
-        zeros = (0.0,) * (n - self.n)
-        tail = tuple(range(self.n, n))
-        return Distribution(self.masses + zeros, self.perm + tail)
+        masses = self.masses + (0.0,) * (n - self.n)
+        _check_order(masses)
+        # fresh indices extend a permutation of range(self.n) to one of range(n)
+        return _sorted_distribution(masses, self.perm + tuple(range(self.n, n)))
 
 
 def make_distribution(

@@ -21,6 +21,7 @@ from itertools import chain, repeat, zip_longest
 from .distributions import (
     INTERNAL_TOL,
     Distribution,
+    _check_order,
     _checked,
     _sorted_distribution,
     _sorted_masses,
@@ -90,13 +91,14 @@ def _glb(pm: Sequence[float], qm: Sequence[float]) -> Distribution:
             carry = 0.0
         masses.append(z)
         previous = m
+    masses = tuple(masses)
     try:
-        # the differences are non-increasing up to roundoff, and a stable
-        # reverse sort of a non-increasing list is the identity
-        return Distribution(tuple(masses), tuple(range(len(masses))))
+        _check_order(masses)
     except ValueError:  # roundoff put two differences out of order
         order = sorted(range(len(masses)), key=masses.__getitem__, reverse=True)
         return _sorted_distribution(tuple(map(masses.__getitem__, order)), tuple(order))
+    # a stable reverse sort of non-increasing differences is the identity
+    return _sorted_distribution(masses, tuple(range(len(masses))))
 
 
 def glb_many(ds: Sequence[Distribution | Sequence[float]]) -> Distribution:

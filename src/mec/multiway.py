@@ -15,7 +15,8 @@ Adjacent nodes merge level by level and an odd last node moves up a level
 unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
 its budget at most once per level, giving H <= H(glb of all marginals) +
 ceil(log2 k) at the root. The root's sorted columns are the index columns of
-a :class:`SparseJoint`, which shares its cell check with ``SparseCoupling``.
+a :class:`SparseJoint`, built through the one checked build it shares with
+``SparseCoupling``, ``_CellStore._fill``, as the public constructor builds it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .coupling import (
-    _bad_cell_walk,
     _cells,
     _CellStore,
-    _first_bad_cell,
+    _exactly,
     _line_sums,
     _raw_cells,
     _unit,
@@ -54,6 +54,15 @@ class JointEntry:
     coords: tuple[int, ...]
 
 
+_ENTRY_ERRORS = {
+    "value": "entry {cell} must be positive, got {value!r}",
+    "finite": "entry {cell} must be finite, got {value!r}",
+    "arity": "entry {cell} does not have {axes} coordinates",
+    "range": "entry {cell} out of range on axis {axis}",
+    "duplicate": "duplicate entry at {cell}",
+}
+
+
 class SparseJoint(_CellStore):
     """A joint distribution over a k-fold product space, positive cells only.
 
@@ -66,55 +75,23 @@ class SparseJoint(_CellStore):
     __slots__ = ("dims", "columns", "_values")
     _ARGS = ("dims",)
     _KEY = ("dims", "columns", "_values")
+    _ERRORS = _ENTRY_ERRORS
 
     def __init__(self, dims: tuple[int, ...], entries: Iterable[JointEntry]) -> None:
         entries = tuple(entries)
-        _fill(self, dims, tuple(map(operator.attrgetter("coords"), entries)),
-              tuple(map(operator.attrgetter("value"), entries)))
+        coords = tuple(map(operator.attrgetter("coords"), entries))
+        k = len(dims)
+        # other coordinates get no columns, which would lose what is odd about
+        # them: they are walked as given, and a list is unhashable
+        columns = None
+        if _exactly(tuple, coords) and all(map(operator.eq, map(len, coords), repeat(k))):
+            columns = tuple(zip(*coords)) or ((),) * k
+        self._fill(dims, columns, tuple(map(operator.attrgetter("value"), entries)), coords)
 
     @property
     def entries(self) -> tuple[JointEntry, ...]:
         """The cells as :class:`JointEntry` records, built on each access."""
         return tuple(map(JointEntry, self._values, _cells(self.columns, len(self._values))))
-
-
-_ENTRY_ERRORS = {
-    "value": "entry {coords} must be positive, got {value!r}",
-    "finite": "entry {coords} must be finite, got {value!r}",
-    "arity": "entry {coords} does not have {k} coordinates",
-    "range": "entry {coords} out of range on axis {axis}",
-    "duplicate": "duplicate entry at {coords}",
-}
-
-
-def _fill(joint: SparseJoint, dims, coords, values) -> None:
-    # checks the cells and sets the fields of a new ``joint``
-    k = len(dims)
-    if (all(map(isinstance, coords, repeat(tuple)))
-            and all(map(operator.eq, map(len, coords), repeat(k)))):
-        columns = tuple(zip(*coords)) or ((),) * k
-        bad = _first_bad_cell(dims, columns, values)
-    else:
-        # the columns would lose what is odd about such coordinates: they are
-        # walked as given, so the first bad entry is named as given and a list
-        # is unhashable; a hashable sequence of one index per axis is read as
-        # a tuple
-        bad = _bad_cell_walk(dims, coords, values)
-        columns = None if bad else tuple(zip(*coords))
-    if bad is not None:
-        raise _entry_error(bad, dims, coords, values)
-    _set(joint, dims, columns, values)
-
-
-def _entry_error(bad, dims, coords, values) -> ValueError:
-    kind, i, axis = bad
-    return ValueError(_ENTRY_ERRORS[kind].format(
-        coords=coords[i], value=values[i], axis=axis, k=len(dims)))
-
-
-def _set(joint: SparseJoint, dims, columns, values) -> None:
-    for name, value in zip(SparseJoint.__slots__, (dims, columns, values)):
-        object.__setattr__(joint, name, value)
 
 
 def axis_marginals(joint: SparseJoint) -> tuple[tuple[float, ...], ...]:
@@ -233,14 +210,7 @@ def min_entropy_joint_k(
     # its index columns are the joint's, one per axis
     values, columns = cells[0]
     order = _by_tag(columns)
-    columns = _gather(columns, order)
-    values = tuple(map(values.__getitem__, order))
-    bad = _first_bad_cell(dims, columns, values)
-    if bad is not None:
-        raise _entry_error(bad, dims, list(zip(*columns)), values)
-    joint = object.__new__(SparseJoint)
-    _set(joint, dims, columns, values)
-    return joint
+    return SparseJoint._build(dims, _gather(columns, order), tuple(map(values.__getitem__, order)))
 
 
 def joint_lower_bound_k(ds: Sequence[Distribution | Sequence[float]]) -> float:

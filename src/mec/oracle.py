@@ -46,7 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coupling import SparseCoupling, _from_cells
+from .coupling import SparseCoupling
 from .distributions import Distribution, _caller_order, _checked
 from .errors import InternalError, TooLargeError
 
@@ -69,10 +69,9 @@ class VertexCoupling:
         return tuple(self.grid[r][c] for r, c in self.support)
 
     def as_coupling(self) -> SparseCoupling:
-        n_rows = len(self.grid)
-        n_cols = len(self.grid[0])
-        cells = [(r, c, self.grid[r][c]) for r, c in self.support]
-        return _from_cells(n_rows, n_cols, cells)
+        rows, cols = (tuple(cell[a] for cell in self.support) for a in (0, 1))
+        return SparseCoupling._build((len(self.grid), len(self.grid[0])), (rows, cols),
+                                     self.values())
 
 
 @dataclass(frozen=True, slots=True)

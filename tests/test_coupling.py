@@ -19,13 +19,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mec
+from mec import coupling
 from mec.coupling import (
     _CELL_DIAGNOSTICS,
     DENSE_CAP,
     MassPool,
+    _finish,
     _first_bad_cell,
-    _from_cells,
     _pad,
+    _raw_cells,
+    _walk,
 )
 from mec.distributions import _checked
 from conftest import (
@@ -44,6 +47,14 @@ ENGINE_IDS = ["dense", "sparse"]
 # component's own row/column neighbours; regression instance for the engines
 TRICKY_P = (0.5, 0.2, 0.18, 0.12)
 TRICKY_Q = (0.55, 0.35, 0.08, 0.02)
+
+
+def from_cells(n_rows: int, n_cols: int, cells) -> mec.SparseCoupling:
+    """A coupling of (row, col, value) cells, built as the engines build
+    theirs: no ``CouplingEntry``, and the public constructor's checks and
+    messages on the columns."""
+    rows, cols, values = (tuple(cell[k] for cell in cells) for k in range(3))
+    return mec.SparseCoupling._build((n_rows, n_cols), (rows, cols), values)
 
 
 def entries_by_cell(m: mec.SparseCoupling) -> dict[tuple[int, int], float]:
@@ -416,7 +427,7 @@ class TestFromCells:
         with pytest.raises(ValueError) as public:
             mec.SparseCoupling(n_rows, n_cols, entries)
         with pytest.raises(ValueError) as private:
-            _from_cells(n_rows, n_cols, cells)
+            from_cells(n_rows, n_cols, cells)
         assert str(private.value) == str(public.value) == message
 
     def test_matches_the_public_constructor(self):
@@ -435,6 +446,174 @@ def _sha256(lines) -> str:
     for line in lines:
         h.update(f"{line}\n".encode())
     return h.hexdigest()
+
+
+def first_bad_message(n_rows: int, n_cols: int, cells) -> str | None:
+    """The constructor's message for the first bad (row, col, value) cell,
+    in the order given, by a check of one cell at a time; an index that is
+    not an int is out of range."""
+    seen = set()
+    for r, c, v in cells:
+        if v <= 0.0:
+            return f"entry ({r}, {c}) must be positive, got {v!r}"
+        if not math.isfinite(v):
+            return f"entry ({r}, {c}) must be finite, got {v!r}"
+        if not all(type(i) is int and 0 <= i < n for i, n in ((r, n_rows), (c, n_cols))):
+            return f"entry ({r}, {c}) outside {n_rows} x {n_cols}"
+        if (r, c) in seen:
+            return f"duplicate entry at ({r}, {c})"
+        seen.add((r, c))
+    return None
+
+
+def engine_cells(rng: random.Random, n_rows: int, n_cols: int) -> list[tuple[int, int, float]]:
+    m = mec.min_entropy_coupling_sparse(random_masses(rng, n_rows), random_masses(rng, n_cols))
+    return list(zip(m.rows, m.cols, m.values()))
+
+
+def bad_cells(rng: random.Random, kind: str, cells, n_rows: int, n_cols: int):
+    """Two bad cells of one kind for a coupling holding ``cells``."""
+    taken = {(r, c) for r, c, _ in cells}
+    free = [(r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in taken]
+    (r1, c1), (r2, c2) = rng.sample(free, 2)
+    if kind == "non-positive":
+        return [(r1, c1, 0.0), (r2, c2, -0.25)]
+    if kind in ("nan", "inf"):
+        value = math.nan if kind == "nan" else math.inf
+        return [(r1, c1, value), (r2, c2, value)]
+    if kind == "range":
+        return [(n_rows, c1, 0.125), (r2, -1, 0.125)]
+    if kind == "duplicate":
+        return [(r, c, 0.125) for r, c, _ in rng.sample(cells, 2)]
+    return [(float(r1), c1, 0.125), (r2, c2 + 0.5, 0.125)]
+
+
+BAD_KINDS = ["non-positive", "nan", "inf", "range", "duplicate", "non-integer"]
+
+
+class TestOneCheckedBuild:
+    """Every coupling is built through ``_CellStore._fill``: the public
+    constructor clears cells in any order by C-level passes, and any input
+    with a bad cell names the first one in the order given."""
+
+    def test_a_shuffled_engine_coupling_is_never_walked(self, monkeypatch):
+        rng = random.Random(2600)
+        m = mec.min_entropy_coupling_sparse(random_masses(rng, 8000), random_masses(rng, 7000))
+        entries = list(m.entries)
+        assert len(entries) >= 10_000
+        rng.shuffle(entries)
+        walks = []
+        walk = coupling._bad_cell_walk
+        monkeypatch.setattr(coupling, "_bad_cell_walk",
+                            lambda *args: walks.append(1) or walk(*args))
+        rebuilt = mec.SparseCoupling(m.n_rows, m.n_cols, entries)
+        assert walks == []
+        assert set(zip(rebuilt.rows, rebuilt.cols, rebuilt.values())) == set(
+            zip(m.rows, m.cols, m.values()))
+        # a bad cell is still walked to, and named
+        entries.append(mec.CouplingEntry(0.5, 0, m.n_cols))
+        with pytest.raises(ValueError, match=rf"^entry \(0, {m.n_cols}\) outside "):
+            mec.SparseCoupling(m.n_rows, m.n_cols, entries)
+        assert walks == [1]
+
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    def test_shuffled_input_names_the_first_bad_cell(self, kind):
+        rng = random.Random(f"coupling-{kind}")
+        for _ in range(40):
+            n_rows, n_cols = rng.randint(3, 9), rng.randint(3, 9)
+            good = engine_cells(rng, n_rows, n_cols)
+            cells = good + bad_cells(rng, kind, good, n_rows, n_cols)
+            rng.shuffle(cells)
+            message = first_bad_message(n_rows, n_cols, cells)
+            assert message is not None
+            entries = [mec.CouplingEntry(v, r, c) for r, c, v in cells]
+            with pytest.raises(ValueError) as exc:
+                mec.SparseCoupling(n_rows, n_cols, entries)
+            assert str(exc.value) == message
+
+    def test_raw_cells_accept_exactly_what_finish_accepts(self):
+        # seeded walks, some with sub-1e-12 tails that drain into a padded
+        # line, and one planted bad cell in most of them
+        rng = random.Random(2601)
+        accepted = rejected = 0
+        for _ in range(300):
+            p = random_masses(rng, rng.randint(1, 30))
+            q = random_masses(rng, rng.randint(1, 30))
+            if rng.random() < 0.2:
+                q = [x * (1.0 - 3e-13) for x in q] + [1e-13, 2e-13]
+            vals, wr, wc, dp, dq, n_rows, n_cols = _walk(_checked(p), _checked(q))[0]
+            kind = rng.choice(["none", "zero", "nan", "inf", "range", "repeat", "count"])
+            k = rng.randrange(len(vals))
+            if kind == "zero":
+                vals[k] = 0.0
+            elif kind in ("nan", "inf"):
+                vals[k] = math.nan if kind == "nan" else math.inf
+            elif kind == "range":
+                # a padded line: the shorter marginal's, past its length
+                if n_rows < dp.n:
+                    wr[k] = rng.randrange(n_rows, dp.n)
+                elif n_cols < dq.n:
+                    wc[k] = rng.randrange(n_cols, dq.n)
+            elif kind == "repeat":
+                vals.insert(k, 0.125)
+                wr.insert(k, wr[k])
+                wc.insert(k, wc[k])
+            elif kind == "count":
+                extra = 2 * max(n_rows, n_cols) + 1 - len(vals)
+                vals += [1e-3] * extra
+                wr += [0] * extra
+                wc += [0] * extra
+            cells = (vals, wr, wc, dp, dq, n_rows, n_cols)
+            want = outcome(_finish, *cells)
+            got = outcome(_raw_cells, cells)
+            if isinstance(want, mec.SparseCoupling):
+                assert got == (vals, wr, wc)
+                accepted += 1
+            else:
+                assert got == want and want[0] is ValueError
+                rejected += 1
+        assert accepted > 30 and rejected > 100
+
+
+class TestIndicesMustBeIntegers:
+    """The public constructor rejects an index that is not an integer, as
+    out of range, naming the cell as given; bool and integer types with
+    ``__index__`` pass."""
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([(0, 0, 0.5), (1.0, 0, 0.5)], "entry (1.0, 0) outside 2 x 1"),
+            ([(0, 0, 0.5), (0.5, 0, 0.5)], "entry (0.5, 0) outside 2 x 1"),
+            ([(0, 0.0, 0.5), (1, 0, 0.5)], "entry (0, 0.0) outside 2 x 1"),
+            ([(0, "0", 0.5), (1, 0, 0.5)], "entry (0, 0) outside 2 x 1"),
+            # the value is checked before the index
+            ([(1.0, 0, -0.5)], "entry (1.0, 0) must be positive, got -0.5"),
+        ],
+        ids=["float-row", "fractional-row", "float-col", "str-col", "value-first"],
+    )
+    def test_rejects_an_index_that_is_not_an_integer(self, cells, message):
+        with pytest.raises(ValueError) as exc:
+            mec.SparseCoupling(2, 1, [mec.CouplingEntry(v, r, c) for r, c, v in cells])
+        assert str(exc.value) == message
+
+    def test_bool_and_integer_indices_pass(self):
+        class Row(int):
+            pass
+
+        m = mec.SparseCoupling(2, 2, [mec.CouplingEntry(0.5, False, True),
+                                      mec.CouplingEntry(0.5, Row(1), 0)])
+        assert m.rows == (False, 1) and m.cols == (True, 0)
+        assert mec.is_valid_coupling(m, [0.5, 0.5], [0.5, 0.5]) == (True, "ok")
+
+    def test_numpy_integer_indices_pass(self):
+        np = pytest.importorskip("numpy")
+        m = mec.SparseCoupling(2, 1, [mec.CouplingEntry(0.5, np.int64(0), np.int32(0)),
+                                      mec.CouplingEntry(0.5, np.int64(1), 0)])
+        assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0]) == (True, "ok")
+        with pytest.raises(ValueError, match=r"^entry \(1\.0, 0\) outside 2 x 1$"):
+            mec.SparseCoupling(2, 1, [mec.CouplingEntry(0.5, 0, 0),
+                                      mec.CouplingEntry(0.5, np.float64(1.0), 0)])
 
 
 class TestBitIdentityPin:
@@ -674,7 +853,7 @@ def outcome(check, *args):
 
 def planted(n_rows: int, n_cols: int, cells) -> mec.SparseCoupling:
     """A coupling holding ``cells`` = [(row, col, value)] as given, unchecked."""
-    m = _from_cells(1, 1, [])
+    m = from_cells(1, 1, [])
     for name, value in (("n_rows", n_rows), ("n_cols", n_cols)):
         object.__setattr__(m, name, value)
     for name, k in (("rows", 0), ("cols", 1), ("_values", 2)):
@@ -1018,7 +1197,7 @@ def reference_min_entropy_coupling_sparse(p, q) -> mec.SparseCoupling:
         rows, cols = dp.perm, dq.perm
         cells = [(rows[r], cols[c], value) for value, r, c in raw]
     cells.sort()
-    return _from_cells(n_rows, n_cols, cells)
+    return from_cells(n_rows, n_cols, cells)
 
 
 def engine_outcome(engine, p, q):

@@ -174,6 +174,39 @@ class TestDistributionType:
         with pytest.raises(ValueError):
             mec.Distribution((0.7, 0.3), (0,))
 
+    @pytest.mark.parametrize(
+        "perm",
+        [(0, 0), (1, 1), (1, 5), (-1, 0), (0.0, 1.0), (1, 0.0), ("0", "1"), (None, 1)],
+        ids=["repeat-0", "repeat-1", "past-n", "negative", "floats", "one-float", "strs",
+             "none"],
+    )
+    def test_rejects_a_perm_that_is_not_a_permutation(self, perm):
+        with pytest.raises(ValueError, match=r"^perm must be a permutation of range\(2\)$"):
+            mec.Distribution((0.5, 0.5), perm)
+
+    def test_a_repeated_index_is_rejected_before_it_hides_mass(self):
+        # perm (0, 0) would put both masses on caller index 0, and the oracle
+        # would report an OPT of 0 bits for a pair whose OPT is 1 bit
+        with pytest.raises(ValueError):
+            mec.Distribution((0.5, 0.5), (0, 0))
+        d = mec.Distribution((0.5, 0.5), (1, 0))
+        assert mec.brute_force_min_entropy(d, [1.0]).opt_value == 1.0
+
+    def test_accepts_permutations_of_integers(self):
+        assert mec.Distribution((), ()).n == 0
+        assert mec.Distribution((0.6, 0.4), (1, 0)).perm == (1, 0)
+        assert mec.Distribution((0.6, 0.4), (False, True)).perm == (False, True)
+
+    def test_padding_keeps_its_order_check(self):
+        # a Distribution built without the constructor's checks, as the
+        # engines build theirs, is still rejected when padded out of order
+        d = object.__new__(mec.Distribution)
+        object.__setattr__(d, "masses", (0.3, -0.1))
+        object.__setattr__(d, "perm", (0, 1))
+        with pytest.raises(ValueError, match="^masses must be sorted non-increasingly$"):
+            d.padded(3)
+        assert mec.make_distribution([0.3, 0.7]).padded(3).perm == (1, 0, 2)
+
 
 class TestShannonEntropy:
     def test_uniform_pair(self):

@@ -189,6 +189,110 @@ class TestSparseJointChecks:
         assert j == mec.SparseJoint((2, 3), [])
 
 
+def first_bad_entry_message(dims, cells) -> str | None:
+    """The constructor's message for the first bad (value, coords) cell, in
+    the order given, by a check of one cell at a time; an index that is not
+    an int is out of range."""
+    seen = set()
+    for value, coords in cells:
+        if value <= 0.0:
+            return f"entry {coords} must be positive, got {value!r}"
+        if not math.isfinite(value):
+            return f"entry {coords} must be finite, got {value!r}"
+        for axis, (i, n) in enumerate(zip(coords, dims)):
+            if not (type(i) is int and 0 <= i < n):
+                return f"entry {coords} out of range on axis {axis}"
+        if coords in seen:
+            return f"duplicate entry at {coords}"
+        seen.add(coords)
+    return None
+
+
+def bad_entries(rng: random.Random, kind: str, cells, dims):
+    """Two bad cells of one kind for a joint holding ``cells``."""
+    taken = {coords for _, coords in cells}
+    free = []
+    while len(free) < 2:
+        coords = tuple(rng.randrange(n) for n in dims)
+        if coords not in taken and coords not in free:
+            free.append(coords)
+    a, b = free
+    if kind == "non-positive":
+        return [(0.0, a), (-0.25, b)]
+    if kind in ("nan", "inf"):
+        value = math.nan if kind == "nan" else math.inf
+        return [(value, a), (value, b)]
+    if kind == "range":
+        return [(0.125, a[:1] + (dims[1],) + a[2:]), (0.125, (-1,) + b[1:])]
+    if kind == "duplicate":
+        return [(0.125, coords) for _, coords in rng.sample(cells, 2)]
+    return [(0.125, (float(a[0]),) + a[1:]), (0.125, b[:-1] + (b[-1] + 0.5,))]
+
+
+class TestOneCheckedBuild:
+    """Joints are built through ``_CellStore._fill``, as couplings are: the
+    public constructor clears cells in any order by C-level passes, and any
+    input with a bad cell names the first one in the order given."""
+
+    def test_a_shuffled_joint_is_never_walked(self, monkeypatch):
+        rng = random.Random(2700)
+        j = mec.min_entropy_joint_k([random_masses(rng, n) for n in (3000, 5000, 4000)])
+        entries = list(j.entries)
+        assert len(entries) >= 10_000
+        rng.shuffle(entries)
+        walks = []
+        walk = coupling._bad_cell_walk
+        monkeypatch.setattr(coupling, "_bad_cell_walk",
+                            lambda *args: walks.append(1) or walk(*args))
+        rebuilt = mec.SparseJoint(j.dims, entries)
+        assert walks == []
+        assert set(rebuilt.entries) == set(j.entries)
+        entries.append(mec.JointEntry(0.5, entries[0].coords))
+        with pytest.raises(ValueError, match="^duplicate entry at "):
+            mec.SparseJoint(j.dims, entries)
+        assert walks == [1]
+
+    @pytest.mark.parametrize(
+        "kind", ["non-positive", "nan", "inf", "range", "duplicate", "non-integer"])
+    def test_shuffled_input_names_the_first_bad_cell(self, kind):
+        rng = random.Random(f"joint-{kind}")
+        for _ in range(40):
+            j = mec.min_entropy_joint_k([random_masses(rng, rng.randint(3, 6)) for _ in range(3)])
+            good = [(e.value, e.coords) for e in j.entries]
+            cells = good + bad_entries(rng, kind, good, j.dims)
+            rng.shuffle(cells)
+            message = first_bad_entry_message(j.dims, cells)
+            assert message is not None
+            with pytest.raises(ValueError) as exc:
+                mec.SparseJoint(j.dims, [mec.JointEntry(v, c) for v, c in cells])
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ((1.0, 0), "entry (1.0, 0) out of range on axis 0"),
+            ((0.5, 0), "entry (0.5, 0) out of range on axis 0"),
+            ((1, 0.0), "entry (1, 0.0) out of range on axis 1"),
+            ([1, 0.0], "entry [1, 0.0] out of range on axis 1"),
+        ],
+        ids=["float", "fractional", "float-axis-1", "list"],
+    )
+    def test_rejects_an_index_that_is_not_an_integer(self, coords, message):
+        entries = [mec.JointEntry(0.5, (0, 0)), mec.JointEntry(0.5, coords)]
+        with pytest.raises(ValueError) as exc:
+            mec.SparseJoint((2, 1), entries)
+        assert str(exc.value) == message
+
+    def test_bool_and_integer_indices_pass(self):
+        class Index(int):
+            pass
+
+        j = mec.SparseJoint((2, 1), [mec.JointEntry(0.5, (False, 0)),
+                                     mec.JointEntry(0.5, (Index(1), False))])
+        assert j.columns == ((False, 1), (0, False))
+        assert mec.axis_marginals(j) == ((0.5, 0.5), (1.0,))
+
+
 class TestAxisMarginals:
     def test_small_known_joint(self):
         j = mec.SparseJoint(
