@@ -16,8 +16,9 @@ overall. Both resolve every row/column overflow through the one greedy split,
 sparse walk runs one loop body over the column side, then the row side. Each
 engine checks each marginal once, as raw masses are checked (a hand-built
 ``Distribution`` too), and never checks their glb. Callers that hold checked
-marginals call the sparse engine's check-free walk, ``_walk``, which pads
-them itself and also returns the glb it walked, so that glb is computed once.
+marginals call the sparse engine's walk, ``_walk``, which checks no marginal,
+pads them itself, runs the debug checks when asked, and also returns the glb
+it walked, so that glb is computed once.
 
 Both engines record the cells as three flat columns (value, row, column) in
 sorted working positions. The walk returns these raw cells, unordered and
@@ -87,7 +88,7 @@ class _CellStore:
 
     @classmethod
     def _build(cls, dims, columns, values):
-        # a new store of the engines' cells, whose indices are all ints
+        # a new store of the engines' cells
         store = object.__new__(cls)
         store._fill(dims, columns, values)
         return store
@@ -95,13 +96,11 @@ class _CellStore:
     def _fill(self, dims, columns, values, cells=None) -> None:
         # checks the cells and sets the fields of a new store: cell k has
         # mass values[k] at columns[a][k] on axis a, which has dims[a] lines.
-        # The public constructors also pass the cells' indices as given, and
-        # no columns unless each cell is a tuple of one index per axis. Unless
-        # every index is an exact int, the cells are walked as given
-        if cells is None or columns is not None and all(map(_exactly, repeat(int), columns)):
-            bad = _first_bad_cell(dims, columns, values)
-        else:
+        # With no columns, the cells' indices as given are walked
+        if columns is None:
             bad = _bad_cell_walk(dims, cells, values)
+        else:
+            bad = _first_bad_cell(dims, columns, values)
         if bad is not None:
             kind, k, axis = bad
             cell = cells[k] if columns is None else tuple(column[k] for column in columns)
@@ -162,7 +161,7 @@ class SparseCoupling(_CellStore):
         rows, cols, values = (
             tuple(map(operator.attrgetter(name), entries)) for name in ("row", "col", "value")
         )
-        self._fill((n_rows, n_cols), (rows, cols), values, zip(rows, cols))
+        self._fill((n_rows, n_cols), (rows, cols), values)
 
     def _set(self, dims, columns, values) -> None:
         # the support bound, then the fields, and in _checked their objects
@@ -184,11 +183,6 @@ def _exactly(kind: type, items) -> bool:
     return set(map(type, items)) <= {kind}
 
 
-def _all_within(index, n) -> bool:
-    # 0 <= i < n for every i, compared one by one: min and max can skip a NaN
-    return all(map(operator.le, repeat(0), index)) and all(map(operator.lt, index, repeat(n)))
-
-
 def _cells(index, count: int):
     # the cells' index tuples, in order; with no axes, ``count`` empty ones
     return zip(*index) if index else repeat((), count)
@@ -201,25 +195,27 @@ def _first_bad_cell(dims, index, values):
     (else None); None if there is none. Cell k has mass ``values[k]`` at
     ``index[a][k]`` on axis a, which has ``dims[a]`` lines.
 
-    The C-level passes of :func:`_cells_pass` clear the usual case; anything
-    else is walked cell by cell. The walk names the first bad cell and
-    settles what the passes cannot, such as NaN.
+    When every index is an exact int, the C-level passes of
+    :func:`_cells_pass` clear the usual case. Anything else is walked cell by
+    cell; the walk names the first bad cell, and an index that is not an
+    int, NaN included, is out of range.
     """
-    if _cells_pass(dims, index, values):
+    if all(map(_exactly, repeat(int), index)) and _cells_pass(dims, index, values):
         return None
     return _bad_cell_walk(dims, _cells(index, len(values)), values)
 
 
 def _cells_pass(dims, index, values) -> bool:
-    # True if one C-level pass per check clears the cells, in any order:
-    # finite positive values, indices in range, and no repeated cell, which
-    # cells in strictly increasing order, as the engines emit them, clear by
-    # one compare each, and cells in any other order by one set of their
-    # index tuples; False leaves the verdict to the walk
+    # True if one C-level pass per check clears the cells of int columns, in
+    # any order: finite positive values, indices in range, and no repeated
+    # cell, which cells in strictly increasing order, as the engines emit
+    # them, clear by one compare each, and cells in any other order by one
+    # set of their index tuples; False leaves the verdict to the walk. Ints
+    # are never NaN, so min and max bound every index
     count = len(values)
     return not count or (
         min(values) > 0.0 and all(map(math.isfinite, values))
-        and all(map(_all_within, index, dims))
+        and all(0 <= min(ix, default=0) and max(ix, default=0) < n for ix, n in zip(index, dims))
         and (all(map(operator.lt, _cells(index, count), islice(_cells(index, count), 1, None)))
              or len(set(_cells(index, count))) == count))
 

@@ -2,14 +2,14 @@
 
 Each leaf is one marginal, checked once, with one index column: its caller
 indices. Each internal node couples its children's masses with the sparse
-engine's check-free walk and reads the walk's raw cells, checked as
-``SparseCoupling``'s output step checks them but never ordered or built into
-a coupling; a check that fails goes to that step, which raises its
-``ValueError``. The node's index columns are its children's, read at each
-cell's row and col, so a node carries one column per leaf below it, and a
-mass's tag is its indices across them. Every node but the root is sorted by
-(-mass, tag) before it is coupled again, and the root by its coordinates,
-so no merge's cell order reaches the output.
+engine's walk, which runs its own checks only with ``debug`` on, and reads
+the walk's raw cells, checked as ``SparseCoupling``'s output step checks them
+but never ordered or built into a coupling; a check that fails goes to that
+step, which raises its ``ValueError``. The node's index columns are its
+children's, read at each cell's row and col, so a node carries one column per
+leaf below it, and a mass's tag is its indices across them. Every node but
+the root is sorted by (-mass, tag) before it is coupled again, and the root
+by its coordinates, so no merge's cell order reaches the output.
 
 Adjacent nodes merge level by level and an odd last node moves up a level
 unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
@@ -43,7 +43,7 @@ from .distributions import (
     shannon_entropy,
 )
 from .errors import EmptyError, InternalError, TooFewError
-from .majorization import glb_many, half_iter, majorizes
+from .majorization import _half, glb_many, majorizes
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,15 +118,19 @@ def _leaf(d: Distribution) -> _Node:
     return d.masses[:k], (d.perm[:k],)
 
 
-def _couple(left: _Node, right: _Node) -> _Node:
+def _couple(left: _Node, right: _Node, debug: bool) -> _Node:
     # the cells of the pairwise coupling of two mass-sorted nodes of checked
     # leaves, in walk order: their values, and the index columns of both
-    # nodes read at each cell. The walk's raw cells are checked as _finish
-    # checks them, and never ordered: _by_mass or the root orders every node
+    # nodes read at each cell. The walk runs its debug checks if ``debug``;
+    # its raw cells are checked as _finish checks them, and never ordered:
+    # _by_mass or the root orders every node
     (left_masses, left_columns), (right_masses, right_columns) = left, right
     dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
     dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
-    values, rows, cols = _raw_cells(_walk(dl, dr)[0])
+    if debug and (_unit(dl) is not dl or _unit(dr) is not dr):
+        # the walk would rescale a node that lost mass, out of the witness's sight
+        raise InternalError("a node's masses do not sum to 1")
+    values, rows, cols = _raw_cells(_walk(dl, dr, debug)[0])
     return values, (*_gather(left_columns, rows), *_gather(right_columns, cols))
 
 
@@ -165,9 +169,11 @@ def min_entropy_joint_k(
     level unchanged, so the tree is ceil(log2 k) merges deep. The output's
     axis-a marginal equals ds[a] (caller order) within the normalization
     tolerance, and its entries are sorted by coordinates. With ``debug`` on,
-    every merge is checked against its majorization witness: the d-fold
-    halving of the glb of the leaves below the merged node, d its depth,
-    must sit below the node's masses.
+    each node must sum to 1 when it is coupled, every merge runs the balance
+    and split-conservation checks of ``min_entropy_coupling_sparse``, and
+    the glb of the marginals, halved ceil(log2 k) times, must sit below the
+    root's masses in the majorization order; a failure raises
+    ``InternalError``.
 
     Raises:
         EmptyError: no distributions given.
@@ -183,32 +189,22 @@ def min_entropy_joint_k(
     dims = tuple(d.n for d in dists)
 
     nodes = [_leaf(d) for d in dists]
-    # the leaves below each node, and its depth: the debug witness's inputs
-    below = [([d], 0) for d in dists]
-    while True:
-        pairs = range(0, len(nodes) - 1, 2)
-        cells = [_couple(nodes[t], nodes[t + 1]) for t in pairs]
-        # an odd last node moves up a level unchanged
-        rest = slice(2 * len(cells), None)
-        if debug:
-            below = [
-                (below[t][0] + below[t + 1][0], max(below[t][1], below[t + 1][1]) + 1)
-                for t in pairs
-            ] + below[rest]
-            for (values, _), (leaves, depth) in zip(cells, below):
-                if not majorizes(half_iter(glb_many(leaves), depth), values):
-                    raise InternalError(
-                        f"depth {depth} node violates its majorization witness"
-                    )
-        if len(nodes) == 2:
-            break
+    while len(nodes) > 2:
         # every merged node but the root is coupled again, so each is sorted
-        # by mass once, here
-        nodes = list(map(_by_mass, cells)) + nodes[rest]
+        # by mass once, here; an odd last node moves up a level unchanged
+        merged = [_by_mass(_couple(a, b, debug)) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = merged + nodes[2 * len(merged):]
+    values, columns = _couple(*nodes, debug)
+    if debug:
+        # the witness: the glb of the leaves, halved once per level
+        witness = glb_many(dists)
+        for _ in range((len(dists) - 1).bit_length()):
+            witness = _half(witness)
+        if not majorizes(witness, values):
+            raise InternalError("the joint violates its majorization witness")
 
     # the root's cells are sorted once, by coordinates, which never repeat;
     # its index columns are the joint's, one per axis
-    values, columns = cells[0]
     order = _by_tag(columns)
     return SparseJoint._build(dims, _gather(columns, order), tuple(map(values.__getitem__, order)))
 

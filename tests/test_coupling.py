@@ -1068,6 +1068,22 @@ class TestReplacedFieldsAreWalked:
         assert not got[0] and got[1].startswith("entry (")
         assert got == reference_is_valid_coupling(m, p, q)
 
+    @pytest.mark.parametrize("row", [1.0, "1", math.nan],
+                             ids=["float-row", "str-row", "nan-row"])
+    def test_a_replaced_index_that_is_not_an_int_is_out_of_range(self, row):
+        # the constructors' rule: unless every index is an exact int, the
+        # cells are walked as given, and such an index is on no line
+        m = mec.min_entropy_coupling_sparse([0.5, 0.5], [1.0])
+        object.__setattr__(m, "rows", (0, row))
+        assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0]) == (
+            False, f"entry ({row}, 0) is out of range")
+
+    def test_a_replaced_empty_column_gets_a_verdict(self):
+        # a verdict, not an exception from the range pass
+        m = mec.min_entropy_coupling_sparse([0.5, 0.5], [1.0])
+        object.__setattr__(m, "rows", ())
+        assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0])[0] is False
+
     @pytest.mark.parametrize("field", ["rows", "cols", "_values"])
     def test_an_equal_copy_gets_the_same_verdict(self, field):
         m = self.built()
@@ -1303,6 +1319,72 @@ class TestWalkInternalErrors:
         with pytest.raises(mec.InternalError) as info:
             mec.min_entropy_coupling_sparse(self.Q, self.P, debug=True)
         assert str(info.value) == "column 2 neither overflows nor balances"
+
+
+class TestSplitConservationCheck:
+    """With ``debug`` on, the walk regroups its raw cells by glb component:
+    each component must end whole, or in the two pieces of its one split.
+    Raw cells of a real walk, doctored one way at a time, must fail it,
+    where ``is_valid_coupling`` at its default tolerance need not."""
+
+    @staticmethod
+    def walked(monkeypatch, p, q):
+        # the arguments of the walk's split check, as a debug walk passes them
+        seen = []
+        check = coupling._verify_split_conservation
+        monkeypatch.setattr(coupling, "_verify_split_conservation",
+                            lambda *args: seen.append(args) or check(*args))
+        cells = _walk(_checked(p), _checked(q), debug=True)[0]
+        (vals, wr, wc, z, splits), = seen
+        assert vals is cells[0]
+        return cells, z, splits
+
+    @staticmethod
+    def still_valid(cells, vals, wr, wc, p, q) -> bool:
+        # the doctored cells, built and validated as the engine's output
+        return mec.is_valid_coupling(_finish(vals, wr, wc, *cells[3:]), p, q)[0]
+
+    def test_a_dropped_sub_tolerance_piece(self, monkeypatch):
+        p = q = [0.5, 0.5 - 1e-13, 1e-13]
+        cells, z, splits = self.walked(monkeypatch, p, q)
+        vals, wr, wc = cells[:3]
+        k = vals.index(min(vals))
+        assert 0.0 < vals[k] < 1e-12
+        vals, wr, wc = (column[:k] + column[k + 1:] for column in (vals, wr, wc))
+        assert self.still_valid(cells, vals, wr, wc, p, q)
+        with pytest.raises(mec.InternalError, match=r"^component 2 pieces \[\] do not match"):
+            coupling._verify_split_conservation(vals, wr, wc, z, splits)
+
+    def test_a_piece_one_ulp_heavier(self, monkeypatch):
+        cells, z, splits = self.walked(monkeypatch, WORKED_P, WORKED_Q)
+        vals, wr, wc = (list(column) for column in cells[:3])
+        assert splits
+        # a piece of a split component
+        k = next(k for k, (r, c) in enumerate(zip(wr, wc)) if max(r, c) in splits)
+        vals[k] = math.nextafter(vals[k], math.inf)
+        assert self.still_valid(cells, vals, wr, wc, WORKED_P, WORKED_Q)
+        with pytest.raises(mec.InternalError, match=rf"^component {max(wr[k], wc[k])} pieces "):
+            coupling._verify_split_conservation(vals, wr, wc, z, splits)
+
+    def test_a_third_piece(self, monkeypatch):
+        cells, z, splits = self.walked(monkeypatch, WORKED_P, WORKED_Q)
+        vals, wr, wc = (list(column) for column in cells[:3])
+        # half of a split component's piece moves to a free cell of its row,
+        # left of the diagonal, where the component's cells may lie
+        taken = set(zip(wr, wc))
+        k, c = next((k, c) for k, (r, col) in enumerate(zip(wr, wc)) if col <= r and r in splits
+                    for c in range(r) if (r, c) not in taken)
+        vals[k] /= 2.0
+        vals.append(vals[k])
+        wr.append(wr[k])
+        wc.append(c)
+        with pytest.raises(mec.InternalError, match=rf"^component {wr[k]} pieces "):
+            coupling._verify_split_conservation(vals, wr, wc, z, splits)
+
+    @pytest.mark.parametrize("p, q", [(WORKED_P, WORKED_Q), ([0.5, 0.5 - 1e-13, 1e-13],) * 2])
+    def test_the_cells_as_walked_pass(self, monkeypatch, p, q):
+        cells, z, splits = self.walked(monkeypatch, p, q)
+        coupling._verify_split_conservation(*cells[:3], z, splits)
 
 
 def transposed_cells(m: mec.SparseCoupling) -> list[tuple[int, int, str]]:

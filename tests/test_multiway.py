@@ -7,6 +7,7 @@ import math
 import operator
 import pickle
 import random
+import re
 from bisect import bisect_left
 
 import pytest
@@ -15,6 +16,7 @@ import mec
 from mec import coupling, multiway, reports
 from mec.coupling import _finish, _unit, _walk
 from mec.distributions import _checked, _sorted_distribution
+from mec.majorization import HALF_COMPONENT_CAP
 from conftest import (
     WORKED_P,
     WORKED_Q,
@@ -428,8 +430,8 @@ class TestFrlBounds:
 def test_scaled_marginals_keep_their_axis_marginals():
     # marginals off 1 by up to 9e-10, within the default tolerance, are
     # rescaled once at the leaves: the root's axis marginals stay within it,
-    # and every merge meets its debug witness, which is built from the same
-    # rescaled leaves
+    # every merge passes its walk's debug checks, and the root meets its
+    # witness, which is built from the same rescaled leaves
     for seed in range(60):
         rng = random.Random(seed)
         ds = []
@@ -573,6 +575,98 @@ class TestMergeTreeMatchesTheReference:
                   for name, n in zip(names, (5_000, 20_000, 10_000, 15_000))]
             assert (joint_outcome(mec.min_entropy_joint_k, ds)
                     == joint_outcome(reference_min_entropy_joint_k, ds))
+
+
+def debug_instances(seed: int, count: int = 30) -> list:
+    """Seeded lists of 2-7 marginals, each with its outcome (``joint_outcome``)
+    with debug off."""
+    rng = random.Random(seed)
+    instances = []
+    for t in range(count):
+        names = [rng.choice(["geometric", "grid64", "random"]) for _ in range(2 + t % 6)]
+        ds = [MARGINAL_FAMILIES[name](rng, rng.randint(2, 30)) for name in names]
+        instances.append((ds, joint_outcome(mec.min_entropy_joint_k, ds)))
+    return instances
+
+
+def debug_outcome(ds):
+    return joint_outcome(lambda ds: mec.min_entropy_joint_k(ds, debug=True), ds)
+
+
+class TestDebugChecks:
+    """With ``debug`` on, every merge's walk runs the sparse engine's checks,
+    a merged node must still sum to 1 when it is coupled again, and the root
+    meets the witness of the ceil(log2 k) bound: the glb of the leaves,
+    halved once per level."""
+
+    @staticmethod
+    def caught(instances) -> int:
+        # the number of runs, debug on, that the split check stops. Every
+        # other run ends as it does with neither the mutant nor debug: the
+        # mutant never ran, or a merge before it raised the padded-column
+        # ValueError of ROADMAP item 1
+        caught = 0
+        for ds, want in instances:
+            got = debug_outcome(ds)
+            if got[0] is mec.InternalError and re.match(r"component \d+ pieces ", got[1]):
+                caught += 1
+            else:
+                assert got == want
+        return caught
+
+    def test_the_instances_pass_every_check(self):
+        # both outcomes occur: joints, and the padded-column ValueError
+        instances = debug_instances(2300)
+        for ds, want in instances:
+            assert debug_outcome(ds) == want
+        assert {want[0] is ValueError for _, want in instances} == {False, True}
+
+    def test_pieces_drained_one_ulp_heavier(self, monkeypatch):
+        instances = debug_instances(2300)
+        drain = coupling.MassPool.drain
+        monkeypatch.setattr(coupling.MassPool, "drain", lambda pool: [
+            (math.nextafter(mass, math.inf), origin) for mass, origin in drain(pool)])
+        assert self.caught(instances) == len(instances)
+
+    def test_taken_pieces_a_little_heavier(self, monkeypatch):
+        instances = debug_instances(2300)
+        split = coupling.MassPool.split
+
+        def heavier(pool, z, x):
+            z_d, taken = split(pool, z, x)
+            return z_d, [(mass * (1.0 + 1e-11), origin) for mass, origin in taken]
+
+        monkeypatch.setattr(coupling.MassPool, "split", heavier)
+        assert self.caught(instances) >= 25
+
+    @pytest.mark.parametrize("node", ["root", "inner"])
+    def test_a_halved_smallest_cell(self, monkeypatch, node):
+        # the smallest cell, 1e-10, is halved: the root's total falls short
+        # of the witness's by more than its 1e-12 slack, and an inner node's
+        # would be rescaled by the next walk, unseen by the witness
+        ds = [[0.5, 0.5 - 1e-10, 1e-10]] * 3
+        couple = multiway._couple
+
+        def halved(*nodes):
+            values, columns = couple(*nodes)
+            if (len(columns) == len(ds)) == (node == "root"):
+                values = list(values)
+                values[values.index(min(values))] /= 2.0
+            return values, columns
+
+        monkeypatch.setattr(multiway, "_couple", halved)
+        mec.min_entropy_joint_k(ds)  # unseen with debug off
+        with pytest.raises(mec.InternalError) as exc:
+            mec.min_entropy_joint_k(ds, debug=True)
+        assert str(exc.value) == ("the joint violates its majorization witness" if node == "root"
+                                  else "a node's masses do not sum to 1")
+
+    def test_a_witness_past_the_half_cap(self):
+        # uniform marginals couple on the diagonal, the cheapest joint whose
+        # witness, 4n masses, exceeds half_iter's cap
+        n = HALF_COMPONENT_CAP // 4 + 1
+        j = mec.min_entropy_joint_k([[1.0 / n] * n] * 3, debug=True)
+        assert j.columns == (tuple(range(n)),) * 3
 
 
 def skewed_vs_flat_pair() -> tuple[list[float], list[float]]:
