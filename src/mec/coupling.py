@@ -67,11 +67,12 @@ class CouplingEntry:
     col: int
 
 
+# indices print as their repr, so a str "0" does not read as the int 0
 _CELL_ERRORS = {
-    "value": "entry ({cell[0]}, {cell[1]}) must be positive, got {value!r}",
-    "finite": "entry ({cell[0]}, {cell[1]}) must be finite, got {value!r}",
-    "range": "entry ({cell[0]}, {cell[1]}) outside {dims[0]} x {dims[1]}",
-    "duplicate": "duplicate entry at ({cell[0]}, {cell[1]})",
+    "value": "entry ({cell[0]!r}, {cell[1]!r}) must be positive, got {value!r}",
+    "finite": "entry ({cell[0]!r}, {cell[1]!r}) must be finite, got {value!r}",
+    "range": "entry ({cell[0]!r}, {cell[1]!r}) outside {dims[0]} x {dims[1]}",
+    "duplicate": "duplicate entry at ({cell[0]!r}, {cell[1]!r})",
 }
 
 
@@ -593,10 +594,10 @@ def _verify_split_conservation(
 
 
 _CELL_DIAGNOSTICS = {
-    "value": "entry ({row}, {col}) has non-positive value {value!r}",
-    "finite": "entry ({row}, {col}) has non-finite value {value!r}",
-    "range": "entry ({row}, {col}) is out of range",
-    "duplicate": "duplicate entry at ({row}, {col})",
+    "value": "entry ({row!r}, {col!r}) has non-positive value {value!r}",
+    "finite": "entry ({row!r}, {col!r}) has non-finite value {value!r}",
+    "range": "entry ({row!r}, {col!r}) is out of range",
+    "duplicate": "duplicate entry at ({row!r}, {col!r})",
 }
 
 
@@ -671,6 +672,10 @@ def is_valid_coupling(
     # sends the cells through the check again
     checked = getattr(m, "_checked", None)
     if checked is None or not all(map(operator.is_, fields, checked)):
+        # fields of different lengths would be zipped short below
+        if not len(rows) == len(cols) == len(values):
+            return False, (f"rows, cols and values have lengths "
+                           f"{len(rows)}, {len(cols)} and {len(values)}")
         bad = _first_bad_cell((m.n_rows, m.n_cols), (rows, cols), values)
         if bad is not None:
             kind, k, _ = bad

@@ -21,6 +21,7 @@ a :class:`SparseJoint`, built through the one checked build it shares with
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
@@ -37,6 +38,7 @@ from .coupling import (
     _walk,
 )
 from .distributions import (
+    NORMALIZATION_TOL,
     Distribution,
     _checked,
     _sorted_distribution,
@@ -170,10 +172,10 @@ def min_entropy_joint_k(
     axis-a marginal equals ds[a] (caller order) within the normalization
     tolerance, and its entries are sorted by coordinates. With ``debug`` on,
     each node must sum to 1 when it is coupled, every merge runs the balance
-    and split-conservation checks of ``min_entropy_coupling_sparse``, and
-    the glb of the marginals, halved ceil(log2 k) times, must sit below the
-    root's masses in the majorization order; a failure raises
-    ``InternalError``.
+    and split-conservation checks of ``min_entropy_coupling_sparse``, the
+    root must sum to 1 within the normalization tolerance, and the glb of
+    the marginals, halved ceil(log2 k) times, must sit below the root's
+    masses in the majorization order; a failure raises ``InternalError``.
 
     Raises:
         EmptyError: no distributions given.
@@ -196,6 +198,11 @@ def min_entropy_joint_k(
         nodes = merged + nodes[2 * len(merged):]
     values, columns = _couple(*nodes, debug)
     if debug:
+        # majorizes would reject a root off by more than this as a marginal
+        # that is not normalized, an input error; smaller losses fail the
+        # witness, whose slack is 1e-12
+        if not abs(math.fsum(values) - 1.0) <= NORMALIZATION_TOL:
+            raise InternalError("the root's masses do not sum to 1")
         # the witness: the glb of the leaves, halved once per level
         witness = glb_many(dists)
         for _ in range((len(dists) - 1).bit_length()):

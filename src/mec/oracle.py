@@ -16,38 +16,36 @@ So it builds only trees, in the lexicographic order of
 ``itertools.combinations`` over the edges: each deduplicated vertex keeps the
 cells of the same first tree, and each argmin stays the same.
 
-Only the trees' peel schedules are cached, per (n_rows, n_cols) shape, so
-scoring many random instances of the same shape costs one enumeration. A
-schedule is a tuple of (node, other, edge_index) steps: peel ``node``
-through the tree's edge at that position, whose far end is ``other``; the
-edge is the cell (min(node, other), max(node, other) - n_rows). Steps are
-shared tuples from one per-shape table, so a cached schedule holds only
-references to them, and the cache stores no edge list.
-
-Each call runs two passes. The first only checks feasibility: it walks each
-tree's steps on a copy of the (p, q) residuals, stops at the first negative
-one, and keeps the feasible trees in tree order. Few trees pass (about 3% at
-4x5 and 11% at 2x10 on random marginals). The second solves each feasible
-tree: it repeats the same subtractions in the same order (so the floats are
-the same) and records each step's value. A solved tree is keyed on its
-positive cells, with values rounded to 1e-12, and a key keeps the cells of
-the first tree to reach it. ``enumerate_vertices`` keys every feasible tree
-and builds a grid for each vertex. Brute force scores each solved tree's
-entropy first, keys only the trees within a slack of the least (one or a
-few on random marginals), scans their vertices and builds one grid, the
-argmin's; a comment above ``brute_force_min_entropy`` shows why the slack
-loses no bit.
+Only a prefix index of the trees' leaf peels is cached, per (n_rows, n_cols)
+shape: each tree's key, one (node, other) byte pair per step and then its
+3-byte position in tree order, with the keys sorted and a bytes column of
+each key's common prefix with the key before it. A call walks the keys in
+order, one residual list per depth, resuming each key after the steps it
+shares whole and recording each step's value. A step fails if its node's
+residual is below -1e-12, or if it leaves its far end's below -1e-6 (see
+``_CUT``); one search of the prefix column skips the keys after it that
+share the failed byte. So a 4x5 call walks some 8,000 steps, not 32,000
+trees of 8 steps, and each tree still subtracts in its own peel order, to
+the same floats. The feasible trees (about 3% at 4x5, 11% at 2x10 on random
+marginals) go back into tree order and are keyed on their positive cells,
+values rounded to 1e-12; a key keeps its first tree's cells.
+``enumerate_vertices`` builds a grid per key. Brute force scores each
+feasible tree's entropy, keys only the trees within a slack of the least,
+and builds the argmin's grid; a comment above ``brute_force_min_entropy``
+shows why the slack loses no bit.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .coupling import SparseCoupling
-from .distributions import Distribution, _caller_order, _checked
+from .distributions import NORMALIZATION_TOL, Distribution, _caller_order, _checked
 from .errors import InternalError, TooLargeError
 
 CELL_CAP = 20
@@ -81,31 +79,21 @@ class OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _tree_schedules(n: int, m: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The leaf-peeling schedules of all spanning trees of K_{n,m}.
-
-    Nodes are rows 0..n-1 and columns n..n+m-1. Each tree's schedule lists
-    (node, other, edge_index) in elimination order: at each step the node
-    has exactly one unprocessed incident edge, the tree's edge_index-th in
-    index order, whose other endpoint is ``other``; that edge is the cell
-    (min(node, other), max(node, other) - n). Trees come in the
-    lexicographic order of their edge indices r * m + c.
-    """
-    node_count = n + m
-    size = node_count - 1
+def _peel_index(n: int, m: int) -> tuple[list[bytes], bytes]:
+    """(keys, shared): the sorted keys of the spanning trees of K_{n,m}, and
+    per key the number of leading bytes it shares with the key before it.
+    Nodes are rows 0..n-1 and columns n..n+m-1; step (node, other) peels a
+    node whose last edge is the cell (min(node, other), max(node, other) - n)."""
+    size = n + m - 1
     all_edges = [(r, c) for r in range(n) for c in range(m)]
-    total = len(all_edges)
-    # one shared (node, other, edge_index) tuple per step value keeps the
-    # cache small
-    steps = [
-        [[(v, o, e) for e in range(size)] for o in range(node_count)]
-        for v in range(node_count)
-    ]
-    parent = list(range(node_count))  # union-find forest, undone on backtrack
-    degree = [0] * node_count
-    incident_sum = [0] * node_count  # sum of the positions of incident edges
-    end_sum: list[int] = []  # row node + column node, per picked position
-    out = []
+    nodes = range(n + m)
+    step_code = [[v << 8 | o for o in nodes] for v in nodes]
+    parent = list(nodes)  # union-find forest, undone on backtrack
+    # per node, 256 * degree + the sum of the positions (at most 190) of its
+    # edges: a leaf's is 256 + its edge's position, at which end_sum holds
+    # the edge's row node + column node
+    load, end_sum = [0] * len(nodes), [0] * 256
+    keys: list[int] = []  # each key as a big-endian int
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -113,31 +101,27 @@ def _tree_schedules(n: int, m: int) -> tuple[tuple[tuple[int, int, int], ...], .
         return a
 
     def peel() -> None:
-        # a live node of degree 1 has one unpeeled edge: its incident_sum
-        deg = degree[:]
-        rest = incident_sum[:]
-        leaves = [v for v in range(node_count) if deg[v] == 1]
-        schedule = []
-        while leaves:
-            v = leaves.pop()
-            if deg[v] != 1:
-                # the far endpoint of the final edge drops to degree 0
-                continue
-            e = rest[v]
-            other = end_sum[e] - v
-            schedule.append(steps[v][other][e])
-            deg[v] = 0
-            rest[other] -= e
-            deg[other] -= 1
-            if deg[other] == 1:
-                leaves.append(other)
-        out.append(tuple(schedule))
+        rest = load[:]
+        leaves = [v for v in nodes if rest[v] < 512]
+        pop, push = leaves.pop, leaves.append
+        key = 0
+        # a degree drops to 0 only on the last step, so every pop is a leaf
+        for _ in range(size):
+            v = pop()
+            at = rest[v]
+            other = end_sum[at] - v
+            key = key << 16 | step_code[v][other]
+            left = rest[other] = rest[other] - at
+            if left < 512:
+                push(other)
+        keys.append(key << 24 | len(keys))
 
     def grow(start: int, depth: int, row_end: int) -> None:
         # the next edge leaves enough edges after it to finish the tree, and
         # lies no further than the row after the last picked edge's row: a
         # row passed without an edge stays isolated
-        stop = min(row_end, total - size + depth + 1)
+        stop = min(row_end, n * m - size + depth + 1)
+        edge = 256 + depth
         for ei in range(start, stop):
             r, c = all_edges[ei]
             col = n + c
@@ -147,38 +131,47 @@ def _tree_schedules(n: int, m: int) -> tuple[tuple[tuple[int, int, int], ...], .
                 continue
             parent[a] = b
             end_sum.append(r + col)
-            degree[r] += 1
-            degree[col] += 1
-            incident_sum[r] += depth
-            incident_sum[col] += depth
+            load[r] += edge
+            load[col] += edge
             if depth + 1 == size:
                 peel()
             else:
                 grow(ei + 1, depth + 1, (r + 2) * m)
-            incident_sum[r] -= depth
-            incident_sum[col] -= depth
-            degree[r] -= 1
-            degree[col] -= 1
+            load[r] -= edge
+            load[col] -= edge
             end_sum.pop()
             parent[a] = a
-            if degree[col] == 0 and r == n - 1:
+            if load[col] == 0 and r == n - 1:
                 # a column's last edge is in the last row: passing it
                 # leaves the column isolated
                 break
 
     grow(0, 0, m)
-    return tuple(out)
+    keys.sort()
+    # keys of one length agree above the highest bit of their xor
+    width = 2 * size + 3
+    shared = [(8 * width - (a ^ b).bit_length()) >> 3 for a, b in zip(keys, keys[1:])]
+    return list(map(int.to_bytes, keys, repeat(width), repeat("big"))), bytes([0, *shared])
 
 
-def _feasible_schedules(
+# _within(limit)(shared, i): the first key from the i-th on that shares at
+# most limit bytes with the key before it
+_within = lru_cache(maxsize=None)(lambda limit: re.compile(b"[\\x00-\\x%02x]" % limit).search)
+
+# A far end's residual below _CUT fails every tree through the step. If all
+# other tests pass, fewer than 20 later steps into it raise it by at most
+# 1e-12 each, plus rounding: peeled later, it fails its own test; never
+# peeled (the last step's far end), it ends within 2.1e-9 of 0, as the
+# marginals' totals agree to twice the tolerance, so it never fell below -2.2e-9.
+_CUT = -1e3 * NORMALIZATION_TOL
+
+
+def _feasible(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
-) -> tuple[int, int, list[float], list[tuple[tuple[int, int, int], ...]]]:
-    """(n, m, base, schedules): the residuals ``[*p, *q]`` in caller order
-    and the peel schedules of the feasible trees, in tree order.
-
-    Checks each marginal once, p before q, and the cell cap.
-    """
+) -> tuple[int, int, list[tuple[bytes, list[float]]]]:
+    """(n, m, trees): each feasible tree's steps and their edges' values, in
+    tree order. Checks each marginal once, p before q, and the cell cap."""
     # raw masses are checked, unsorted, in _caller_order; a Distribution's
     # masses get the same checks before they are unsorted
     pvec = _caller_order(_checked(p) if isinstance(p, Distribution) else p)
@@ -186,47 +179,50 @@ def _feasible_schedules(
     n, m = len(pvec), len(qvec)
     if n * m > CELL_CAP:
         raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
-    base = [*pvec, *qvec]
-    floor = -_ROUND
-    feasible = []
-    for schedule in _tree_schedules(n, m):
-        # a peeled node has no edge left, so its residual is never read again
-        residual = base[:]
-        for node, other, _ in schedule:
+    keys, shared = _peel_index(n, m)
+    end, count, floor = 2 * (n + m - 1), len(shared), -_ROUND
+    within = [_within(limit) for limit in range(end)]
+    # the residuals [*p, *q] after each step of the current key, and its values
+    residuals, values = [[*pvec, *qvec]], []
+    push, record = residuals.append, values.append
+    found = []
+    i = 0
+    while i < count:
+        depth = shared[i] >> 1
+        del residuals[depth + 1:], values[depth:]
+        residual = residuals[depth]
+        key = keys[i]
+        steps = iter(key[2 * depth:end])
+        for node, other in zip(steps, steps):
             v = residual[node]
             if v < floor:
+                failed = 2 * len(values)  # its node's byte
                 break
-            residual[other] -= v
+            record(v)
+            # a peeled node has no edge left, so its residual is never read again
+            residual = residual[:]
+            w = residual[other] = residual[other] - v
+            push(residual)
+            if w < _CUT:
+                failed = 2 * len(values) - 1  # its far end's byte
+                break
         else:
-            feasible.append(schedule)
-    return n, m, base, feasible
+            found.append((key[end:], key[:end], values[:]))
+            failed = end
+        i += 1
+        # the keys that share the failed byte fail there too
+        if i < count and shared[i] > failed:
+            skip = within[failed](shared, i)
+            i = skip.start() if skip else count
+    found.sort()
+    return n, m, [(key, values) for _, key, values in found]
 
 
-def _solve(base: list[float], schedule: tuple[tuple[int, int, int], ...]) -> list[float]:
-    """The value of each step's edge, in step order.
-
-    Repeats pass 1's subtractions in the same order, so the floats are the
-    same.
-    """
-    residual = base[:]
-    values = []
-    for node, other, _ in schedule:
-        v = residual[node]
-        values.append(v)
-        residual[other] -= v
-    return values
-
-
-def _keyed(
-    n: int, schedule: tuple[tuple[int, int, int], ...], values: list[float]
-) -> tuple[tuple, list[tuple[int, int, float]]]:
+def _keyed(n: int, steps: bytes, values: list[float]) -> tuple[tuple, list[tuple[int, int, float]]]:
     """(key, cells): a solved tree's positive (r, c, v) cells in (r, c)
     order, and their deduplication key, the values rounded to 1e-12."""
-    cells = sorted(
-        (min(node, other), max(node, other) - n, v)
-        for (node, other, _), v in zip(schedule, values)
-        if v > 0.0
-    )
+    cells = sorted((min(node, other), max(node, other) - n, v)
+                   for node, other, v in zip(steps[::2], steps[1::2], values) if v > 0.0)
     return tuple((r, c, round(v / _ROUND)) for r, c, v in cells), cells
 
 
@@ -255,10 +251,10 @@ def enumerate_vertices(
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    n, m, base, schedules = _feasible_schedules(p, q)
+    n, m, trees = _feasible(p, q)
     found: dict[tuple, list[tuple[int, int, float]]] = {}
-    for schedule in schedules:
-        key, cells = _keyed(n, schedule, _solve(base, schedule))
+    for steps, values in trees:
+        key, cells = _keyed(n, steps, values)
         found.setdefault(key, cells)
     return [_vertex(n, m, found[key]) for key in sorted(found)]
 
@@ -304,21 +300,25 @@ def brute_force_min_entropy(
     Raises:
         TooLargeError: as :func:`enumerate_vertices`.
         InternalError: no tree is feasible (a broken enumeration).
+
+    Examples:
+        q merges p's last two masses, so a coupling reads q off p, at H(p):
+
+        >>> res = brute_force_min_entropy([0.5, 0.25, 0.25], [0.5, 0.5])
+        >>> res.opt_value, res.argmin.grid
+        (1.5, ((0.5, 0.0), (0.0, 0.25), (0.0, 0.25)))
     """
-    n, m, base, schedules = _feasible_schedules(p, q)
-    if not schedules:
+    n, m, trees = _feasible(p, q)
+    if not trees:
         raise InternalError("the coupling polytope has no scored vertex")
-    scored = []
-    for schedule in schedules:
-        values = _solve(base, schedule)
-        # the float shannon_entropy returns for the tree's positive cells
-        h = -math.fsum([v * math.log2(v) for v in values if v > 0.0]) + 0.0
-        scored.append((h, schedule, values))
+    # each tree's entropy, the float shannon_entropy returns for its positive cells
+    scored = [(-math.fsum([v * math.log2(v) for v in values if v > 0.0]) + 0.0, steps, values)
+              for steps, values in trees]
     near = min(h for h, _, _ in scored) + _NEAR
     found: dict[tuple, tuple[float, list[tuple[int, int, float]]]] = {}
-    for h, schedule, values in scored:
+    for h, steps, values in scored:
         if h <= near:
-            key, cells = _keyed(n, schedule, values)
+            key, cells = _keyed(n, steps, values)
             found.setdefault(key, (h, cells))
     best_value = math.inf
     best_cells: list[tuple[int, int, float]] = []

@@ -586,7 +586,7 @@ class TestIndicesMustBeIntegers:
             ([(0, 0, 0.5), (1.0, 0, 0.5)], "entry (1.0, 0) outside 2 x 1"),
             ([(0, 0, 0.5), (0.5, 0, 0.5)], "entry (0.5, 0) outside 2 x 1"),
             ([(0, 0.0, 0.5), (1, 0, 0.5)], "entry (0, 0.0) outside 2 x 1"),
-            ([(0, "0", 0.5), (1, 0, 0.5)], "entry (0, 0) outside 2 x 1"),
+            ([(0, "0", 0.5), (1, 0, 0.5)], "entry (0, '0') outside 2 x 1"),
             # the value is checked before the index
             ([(1.0, 0, -0.5)], "entry (1.0, 0) must be positive, got -0.5"),
         ],
@@ -611,9 +611,11 @@ class TestIndicesMustBeIntegers:
         m = mec.SparseCoupling(2, 1, [mec.CouplingEntry(0.5, np.int64(0), np.int32(0)),
                                       mec.CouplingEntry(0.5, np.int64(1), 0)])
         assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0]) == (True, "ok")
-        with pytest.raises(ValueError, match=r"^entry \(1\.0, 0\) outside 2 x 1$"):
+        # the index prints as its repr, which numpy 2 gives as np.float64(1.0)
+        row = np.float64(1.0)
+        with pytest.raises(ValueError, match=rf"^entry \({re.escape(repr(row))}, 0\) outside 2 x 1$"):
             mec.SparseCoupling(2, 1, [mec.CouplingEntry(0.5, 0, 0),
-                                      mec.CouplingEntry(0.5, np.float64(1.0), 0)])
+                                      mec.CouplingEntry(0.5, row, 0)])
 
 
 class TestBitIdentityPin:
@@ -1076,13 +1078,15 @@ class TestReplacedFieldsAreWalked:
         m = mec.min_entropy_coupling_sparse([0.5, 0.5], [1.0])
         object.__setattr__(m, "rows", (0, row))
         assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0]) == (
-            False, f"entry ({row}, 0) is out of range")
+            False, f"entry ({row!r}, 0) is out of range")
 
     def test_a_replaced_empty_column_gets_a_verdict(self):
-        # a verdict, not an exception from the range pass
+        # a verdict, not an exception from the range pass, and one that names
+        # the lengths rather than a line the short zip left empty
         m = mec.min_entropy_coupling_sparse([0.5, 0.5], [1.0])
         object.__setattr__(m, "rows", ())
-        assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0])[0] is False
+        assert mec.is_valid_coupling(m, [0.5, 0.5], [1.0]) == (
+            False, "rows, cols and values have lengths 0, 2 and 2")
 
     @pytest.mark.parametrize("field", ["rows", "cols", "_values"])
     def test_an_equal_copy_gets_the_same_verdict(self, field):

@@ -661,6 +661,24 @@ class TestDebugChecks:
         assert str(exc.value) == ("the joint violates its majorization witness" if node == "root"
                                   else "a node's masses do not sum to 1")
 
+    def test_a_root_short_of_the_normalization_tolerance(self, monkeypatch):
+        # a root that lost 0.05 of mass, which majorizes would refuse as a
+        # marginal that is not normalized: a broken walk, not an input error
+        ds = [[0.5, 0.4, 0.1]] * 3
+        couple = multiway._couple
+
+        def halved(*nodes):
+            values, columns = couple(*nodes)
+            if len(columns) == len(ds):
+                values = list(values)
+                values[values.index(min(values))] /= 2.0
+            return values, columns
+
+        monkeypatch.setattr(multiway, "_couple", halved)
+        mec.min_entropy_joint_k(ds)  # unseen with debug off
+        with pytest.raises(mec.InternalError, match="^the root's masses do not sum to 1$"):
+            mec.min_entropy_joint_k(ds, debug=True)
+
     def test_a_witness_past_the_half_cap(self):
         # uniform marginals couple on the diagonal, the cheapest joint whose
         # witness, 4n masses, exceeds half_iter's cap

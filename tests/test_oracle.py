@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 import mec
 from mec.distributions import _caller_order
-from mec.oracle import _ROUND, CELL_CAP, OracleResult, VertexCoupling, _tree_schedules
+from mec.oracle import _ROUND, CELL_CAP, OracleResult, VertexCoupling, _peel_index
 from conftest import geometric_masses, grid64_masses, random_masses, zero_padded_masses
 
 
@@ -65,6 +67,99 @@ def reference_tree_schedules(n: int, m: int):
             if degree[other] == 1:
                 leaves.append(other)
         out.append((edges, tuple(schedule)))
+    return tuple(out)
+
+
+# The package's per-shape schedule cache before the prefix index replaced it,
+# kept verbatim: reference_enumerate_vertices walks these schedules, so the
+# bit-identity pins compare two enumerations that share no code.
+@lru_cache(maxsize=None)
+def _tree_schedules(n: int, m: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The leaf-peeling schedules of all spanning trees of K_{n,m}.
+
+    Nodes are rows 0..n-1 and columns n..n+m-1. Each tree's schedule lists
+    (node, other, edge_index) in elimination order: at each step the node
+    has exactly one unprocessed incident edge, the tree's edge_index-th in
+    index order, whose other endpoint is ``other``; that edge is the cell
+    (min(node, other), max(node, other) - n). Trees come in the
+    lexicographic order of their edge indices r * m + c.
+    """
+    node_count = n + m
+    size = node_count - 1
+    all_edges = [(r, c) for r in range(n) for c in range(m)]
+    total = len(all_edges)
+    # one shared (node, other, edge_index) tuple per step value keeps the
+    # cache small
+    steps = [
+        [[(v, o, e) for e in range(size)] for o in range(node_count)]
+        for v in range(node_count)
+    ]
+    parent = list(range(node_count))  # union-find forest, undone on backtrack
+    degree = [0] * node_count
+    incident_sum = [0] * node_count  # sum of the positions of incident edges
+    end_sum: list[int] = []  # row node + column node, per picked position
+    out = []
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def peel() -> None:
+        # a live node of degree 1 has one unpeeled edge: its incident_sum
+        deg = degree[:]
+        rest = incident_sum[:]
+        leaves = [v for v in range(node_count) if deg[v] == 1]
+        schedule = []
+        while leaves:
+            v = leaves.pop()
+            if deg[v] != 1:
+                # the far endpoint of the final edge drops to degree 0
+                continue
+            e = rest[v]
+            other = end_sum[e] - v
+            schedule.append(steps[v][other][e])
+            deg[v] = 0
+            rest[other] -= e
+            deg[other] -= 1
+            if deg[other] == 1:
+                leaves.append(other)
+        out.append(tuple(schedule))
+
+    def grow(start: int, depth: int, row_end: int) -> None:
+        # the next edge leaves enough edges after it to finish the tree, and
+        # lies no further than the row after the last picked edge's row: a
+        # row passed without an edge stays isolated
+        stop = min(row_end, total - size + depth + 1)
+        for ei in range(start, stop):
+            r, c = all_edges[ei]
+            col = n + c
+            a = find(r)
+            b = find(col)
+            if a == b:
+                continue
+            parent[a] = b
+            end_sum.append(r + col)
+            degree[r] += 1
+            degree[col] += 1
+            incident_sum[r] += depth
+            incident_sum[col] += depth
+            if depth + 1 == size:
+                peel()
+            else:
+                grow(ei + 1, depth + 1, (r + 2) * m)
+            incident_sum[r] -= depth
+            incident_sum[col] -= depth
+            degree[r] -= 1
+            degree[col] -= 1
+            end_sum.pop()
+            parent[a] = a
+            if degree[col] == 0 and r == n - 1:
+                # a column's last edge is in the last row: passing it
+                # leaves the column isolated
+                break
+
+    grow(0, 0, m)
     return tuple(out)
 
 
@@ -158,59 +253,73 @@ def shapes(cap: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(1, cap + 1) for m in range(1, cap // n + 1)]
 
 
-def far_ends_and_pairs(n: int, edges, schedule):
-    """The (node, edge_index) pairs of a schedule of (node, other, edge_index)
-    steps, after checking that each ``other`` is the far end of its edge."""
-    pairs = []
-    for node, other, e in schedule:
-        r, c = edges[e]
-        assert {node, other} == {r, n + c}, (n, edges, schedule)
-        pairs.append((node, e))
-    return tuple(pairs)
+def index_trees(n: int, m: int):
+    """The trees of the shape's peel index, in tree order, as (edges, peel):
+    the edges in index order, and per step the peeled node and the index of
+    its edge. Checks that the keys are sorted, that the prefix column counts
+    each key's bytes in common with the key before it, that each step joins
+    a row to a column, and that the tree positions are 0, 1, 2, ..."""
+    keys, shared = _peel_index(n, m)
+    size = n + m - 1
+    assert list(keys) == sorted(keys) and len(shared) == len(keys)
+    trees = {}
+    before = b""
+    for key, common in zip(keys, shared):
+        assert len(key) == 2 * size + 3
+        differ = [j for j, (a, b) in enumerate(zip(before, key)) if a != b]
+        assert common == (differ[0] if differ else len(before)), (n, m, before, key)
+        before = key
+        steps = [(key[j], key[j + 1]) for j in range(0, 2 * size, 2)]
+        cells = []
+        for node, other in steps:
+            row, col = min(node, other), max(node, other)
+            assert row < n <= col < n + m, (n, m, key)
+            cells.append((row, col - n))
+        edges = tuple(sorted(cells))
+        peel = tuple((node, edges.index(cell)) for (node, _), cell in zip(steps, cells))
+        trees[int.from_bytes(key[2 * size:], "big")] = (edges, peel)
+    assert sorted(trees) == list(range(len(keys)))
+    return tuple(trees[t] for t in range(len(keys)))
 
 
 class TestTreeSchedules:
     def test_equals_the_exhaustive_enumerator(self):
         for n, m in shapes(16):
-            got = []
-            for schedule in _tree_schedules(n, m):
-                edges = tree_edges(n, schedule)
-                got.append((edges, far_ends_and_pairs(n, edges, schedule)))
-            assert tuple(got) == reference_tree_schedules(n, m), (n, m)
+            assert index_trees(n, m) == reference_tree_schedules(n, m), (n, m)
 
     def test_counts_every_spanning_tree(self):
         # Scoins: K_{n,m} has n^(m-1) * m^(n-1) spanning trees
         for n, m in shapes(CELL_CAP):
-            assert len(_tree_schedules(n, m)) == n ** (m - 1) * m ** (n - 1), (n, m)
+            keys, _ = _peel_index(n, m)
+            assert len(keys) == n ** (m - 1) * m ** (n - 1), (n, m)
 
     def test_schedules_peel_each_tree_leaf_by_leaf(self):
         for n, m in shapes(CELL_CAP):
-            for schedule in _tree_schedules(n, m):
-                edges = tree_edges(n, schedule)
+            for edges, peel in index_trees(n, m):
                 assert len(set(edges)) == len(edges) == n + m - 1
-                pairs = far_ends_and_pairs(n, edges, schedule)
-                assert sorted(e for _, e in pairs) == list(range(len(edges)))
+                assert sorted(e for _, e in peel) == list(range(len(edges)))
                 peeled: set[int] = set()
-                for node, e in pairs:
+                for node, e in peel:
                     live = [
                         i for i, (r, c) in enumerate(edges)
                         if i not in peeled and node in (r, n + c)
                     ]
-                    assert live == [e], (n, m, edges, schedule)
+                    assert live == [e], (n, m, edges, peel)
                     peeled.add(e)
 
     def test_cache_holds_only_schedules(self):
-        # __wrapped__ builds a fresh table, so the shared cache is neither
+        # __wrapped__ builds a fresh index, so the shared cache is neither
         # cleared nor refilled; a 4x5 table of (edges, schedule) pairs
-        # retained 8.6 MiB
+        # retained 8.6 MiB, and one of shared step tuples 3.4-3.7 MiB
         tracemalloc.start()
         try:
-            schedules = _tree_schedules.__wrapped__(4, 5)
+            keys, _ = _peel_index.__wrapped__(4, 5)
+            gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(schedules) == 32_000
-        assert retained < 5 * 2**20, retained
+        assert len(keys) == 32_000
+        assert retained < 2 * 2**20, retained
 
 
 class TestTwoPassLoopMatchesTheReference:
@@ -232,6 +341,26 @@ class TestTwoPassLoopMatchesTheReference:
                     ref = reference_brute_force_min_entropy(a, b)
                     assert res.opt_value.hex() == ref.opt_value.hex(), (a, b)
                     assert vertex_bits(res.argmin) == vertex_bits(ref.argmin), (a, b)
+
+    def test_marginals_off_by_the_normalization_tolerance_are_bit_identical(self):
+        # the walk fails a tree once a far end's residual drops below -1e-6.
+        # The last step's far end is never tested, and here it can end
+        # sum(p) - sum(q), about -1.8e-9: a cut at -1e-12 would drop
+        # feasible trees
+        rng = random.Random(199)
+        for n, m in shapes(12):
+            p = [x * (1 - 9e-10) for x in random_masses(rng, n)]
+            q = [x * (1 + 9e-10) for x in random_masses(rng, m)]
+            for a, b in ((p, q), (q, p)):
+                expected, _ = reference_enumerate_vertices(a, b)
+                got = mec.enumerate_vertices(a, b)
+                assert [vertex_bits(v) for v in got] == [
+                    vertex_bits(v) for v in expected
+                ], (a, b)
+                res = mec.brute_force_min_entropy(a, b)
+                ref = reference_brute_force_min_entropy(a, b)
+                assert res.opt_value.hex() == ref.opt_value.hex(), (a, b)
+                assert vertex_bits(res.argmin) == vertex_bits(ref.argmin), (a, b)
 
     def test_each_returned_vertex_is_built_once(self, monkeypatch):
         built = []
@@ -298,7 +427,7 @@ class TestTwoPassLoopMatchesTheReference:
         keyed = []
         key = mec.oracle._keyed
         monkeypatch.setattr(mec.oracle, "_keyed",
-                            lambda n, schedule, values: keyed.append(schedule) or key(n, schedule, values))
+                            lambda n, steps, values: keyed.append(steps) or key(n, steps, values))
         rng = random.Random(193)
         for n, m in ((4, 5), (2, 10)):
             many = 0
@@ -424,7 +553,6 @@ class TestBruteForceMinEntropy:
 
     def test_no_vertex_is_an_internal_error(self, monkeypatch):
         # an invariant failure, raised even where python -O strips asserts
-        monkeypatch.setattr(mec.oracle, "_feasible_schedules",
-                            lambda p, q: (2, 1, [0.5, 0.5, 1.0], []))
+        monkeypatch.setattr(mec.oracle, "_feasible", lambda p, q: (2, 1, []))
         with pytest.raises(mec.InternalError):
             mec.brute_force_min_entropy([0.5, 0.5], [1.0])
