@@ -10,7 +10,9 @@ Every run is deterministic: the same inputs and flags produce byte-identical
 output, and floats are serialized so they re-read bit-for-bit. Every
 document is exactly ``json.dumps(doc, indent=2)`` plus a newline; entry
 lists are rendered straight from the coupling's or joint's columns, one
-fixed template per entry, to the same bytes.
+fixed template per entry, to the same bytes. They are rendered and written
+in pieces of at most ``_CHUNK`` entries, so neither the whole document nor
+all of its entry strings are ever held at once.
 
 Exit codes: 0 success; 2 input or usage problem (diagnostic names the
 offending field); 3 violated internal invariant.
@@ -23,8 +25,8 @@ import json
 import math
 import operator
 import sys
-from collections.abc import Iterable
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import islice, repeat
 
 from .coupling import (
     DENSE_CAP,
@@ -54,6 +56,10 @@ _PAIR_GAP_BITS = 1.0
 # json uses for finite floats (coupling and joint values are always finite)
 _PAIR_ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "v": %r\n    }'
 
+# the most entries one piece of a document renders: the writer holds one
+# piece's entry strings at a time, never the whole document
+_CHUNK = 4096
+
 
 def _joint_entry(k: int) -> str:
     coords = ",\n".join(["        %d"] * k)
@@ -61,33 +67,44 @@ def _joint_entry(k: int) -> str:
 
 
 class _Entries:
-    """A top-level entry list: ``template % row`` renders each entry.
+    """A top-level entry list: ``template % row`` renders each entry, for the
+    rows that ``zip(*columns)`` gives.
 
-    The rows are kept as a tuple, so a document renders as often as needed.
+    The columns are kept, and zipped only while rendering, so a document
+    renders as often as needed with no tuple per entry held between renders.
     """
 
     # a plain class: a dataclass would add its build time to every import
-    __slots__ = ("template", "rows")
+    __slots__ = ("template", "columns")
 
-    def __init__(self, template: str, rows: Iterable[tuple]) -> None:
+    def __init__(self, template: str, columns: tuple) -> None:
         self.template = template
-        self.rows = tuple(rows)
+        self.columns = columns
 
 
-def _document(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for a non-empty
-    ``doc`` whose values may include :class:`_Entries`."""
-    pieces: list[str] = []
+def _pieces(doc: dict) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2) + "\\n"`` for a non-empty
+    ``doc`` whose values may include :class:`_Entries`, in pieces that each
+    render at most ``_CHUNK`` entries."""
+    opening = "{\n  "
     for key, value in doc.items():
-        pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": "]
-        if isinstance(value, _Entries):
-            body = ",\n".join(map(value.template.__mod__, value.rows))
-            pieces += ["[\n", body, "\n  ]"] if body else ["[]"]
-        else:
+        head = opening + json.dumps(key) + ": "
+        opening = ",\n  "
+        if not isinstance(value, _Entries):
             # a JSON string holds no raw newline, so this indents every line
-            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-    pieces.append("\n}\n")
-    return "".join(pieces)
+            yield head + json.dumps(value, indent=2).replace("\n", "\n  ")
+            continue
+        render = value.template.__mod__
+        rows = zip(*value.columns)
+        chunk = ",\n".join(map(render, islice(rows, _CHUNK)))
+        if not chunk:
+            yield head + "[]"
+            continue
+        yield head + "[\n" + chunk
+        while chunk := ",\n".join(map(render, islice(rows, _CHUNK))):
+            yield ",\n" + chunk
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,7 +278,7 @@ def _coupling_doc(m: SparseCoupling, h_glb: float, dense: bool) -> dict:
             matrix[row][col] = value
         doc["matrix"] = matrix
     else:
-        doc["entries"] = _Entries(_PAIR_ENTRY, zip(m.rows, m.cols, m.values()))
+        doc["entries"] = _Entries(_PAIR_ENTRY, (m.rows, m.cols, m.values()))
     doc["entropy_bits"] = h
     doc["glb_entropy_bits"] = h_glb
     doc["gap_bound_bits"] = h_glb + _PAIR_GAP_BITS
@@ -296,10 +313,9 @@ def _execute(ns: argparse.Namespace) -> dict:
         joint = min_entropy_joint_k(ds)
         values = joint.values()
         bounds = frl_bounds(ds)
-        cells = zip(*joint.columns, values)
         return {
             "dims": list(joint.dims),
-            "entries": _Entries(_joint_entry(len(joint.dims)), cells),
+            "entries": _Entries(_joint_entry(len(joint.dims)), (*joint.columns, values)),
             "entropy_bits": shannon_entropy(values),
             "glb_entropy_bits": bounds.lower,
             "gap_bound_bits": bounds.upper,
@@ -360,16 +376,15 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = _document(doc)
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(_pieces(doc))
         except OSError as exc:
             print(f"error: out: cannot write {ns.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_pieces(doc))
     return 0
 
 

@@ -211,14 +211,26 @@ def _cells_pass(dims, index, values) -> bool:
     # any order: finite positive values, indices in range, and no repeated
     # cell, which cells in strictly increasing order, as the engines emit
     # them, clear by one compare each, and cells in any other order by one
-    # set of their index tuples; False leaves the verdict to the walk. Ints
-    # are never NaN, so min and max bound every index
+    # set of their codes; False leaves the verdict to the walk. Ints are
+    # never NaN, so min and max bound every index
     count = len(values)
     return not count or (
         min(values) > 0.0 and all(map(math.isfinite, values))
         and all(0 <= min(ix, default=0) and max(ix, default=0) < n for ix, n in zip(index, dims))
         and (all(map(operator.lt, _cells(index, count), islice(_cells(index, count), 1, None)))
-             or len(set(_cells(index, count))) == count))
+             or len(set(_codes(dims, index, count))) == count))
+
+
+def _codes(dims, index, count: int):
+    # one mixed-radix int per cell, axis a's radix dims[a]. With every index
+    # in range, codes compare as the cells' index tuples do, so two codes are
+    # equal only when the two cells are
+    if not index:
+        return repeat(0, count)
+    codes = index[0]
+    for ix, n in zip(index[1:], dims[1:]):
+        codes = map(operator.add, map(operator.mul, codes, repeat(n)), ix)
+    return codes
 
 
 def _bad_cell_walk(dims, cells, values):

@@ -31,6 +31,7 @@ from itertools import islice, repeat
 from .coupling import (
     _cells,
     _CellStore,
+    _codes,
     _exactly,
     _line_sums,
     _raw_cells,
@@ -142,9 +143,12 @@ def _gather(columns, order) -> tuple[tuple[int, ...], ...]:
 
 
 def _by_tag(columns) -> list[int]:
-    # the positions of a node's masses in the order of their tags
-    tags = list(zip(*columns))
-    return sorted(range(len(tags)), key=tags.__getitem__)
+    # the positions of a node's masses in the order of their tags. Each tag
+    # is read as one mixed-radix int, a column's radix its largest index + 1,
+    # which orders as the tag tuples do; Python ints keep it exact at any size
+    radices = [max(column) + 1 for column in columns]
+    codes = list(_codes(radices, columns, len(columns[0])))
+    return sorted(range(len(codes)), key=codes.__getitem__)
 
 
 def _by_mass(node: _Node) -> _Node:

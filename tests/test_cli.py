@@ -299,7 +299,8 @@ def _golden_inputs(tmp_path) -> dict[str, str]:
         "pair": {"p": _seeded_masses(rng, 60, 3), "q": _seeded_masses(rng, 45, 1)},
         "small": {"p": _seeded_masses(rng, 3, 0), "q": _seeded_masses(rng, 4, 0)},
     }
-    for k in (3, 4, 5, 6, 7):
+    # k = 12 is drawn last, so the earlier documents keep their draws
+    for k in (3, 4, 5, 6, 7, 12):
         docs[f"k{k}"] = [
             _seeded_masses(rng, rng.randint(20, 150), rng.randint(0, 2)) for _ in range(k)
         ]
@@ -333,6 +334,9 @@ class TestGoldenBytes:
          "7a370424a5a5b1f0d898d6f2c5271ee936b8f08bcffa4c2220015dae057a2e6e"),
         ("couple-k-7", ["couple-k", "--dists", "{k7}"],
          "e9a4dd33697dbd535ea61b1404a1946b5b6cda32effd3b9eb5ed0b52c9f8926d"),
+        # twelve axes: the root's tags, read as mixed-radix ints, pass 2**64
+        ("couple-k-12", ["couple-k", "--dists", "{k12}"],
+         "f79527b1b6938af752c7adb742ac7c1f32b99f130ebf8f89914e9652ba7d9f68"),
         ("glb", ["glb", "--p", "{pair}"],
          "8af5bd84bb88f81b01cdcc742d41a20493cbe42fa0e221bbef55551275158949"),
         ("entropy-shannon", ["entropy", "--p", "{pair}"],
@@ -358,7 +362,7 @@ class TestGoldenBytes:
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 12])
     def test_couple_k_values_re_read_bit_for_bit(self, capsys, tmp_path, k):
         paths = _golden_inputs(tmp_path)
         doc = run_json(capsys, ["couple-k", "--dists", paths[f"k{k}"]])
@@ -380,23 +384,29 @@ _FIELDS = st.dictionaries(
 )
 
 
+def document(doc: dict) -> str:
+    """The whole text the CLI writes for ``doc``, piece by piece."""
+    return "".join(cli._pieces(doc))
+
+
 class TestDocumentWriter:
     """The one writer is ``json.dumps(doc, indent=2)`` plus a newline, byte
-    for byte, whether or not an entry list is rendered from its rows."""
+    for byte, whether or not an entry list is rendered from its columns."""
 
     @settings(max_examples=100, deadline=None)
     @given(fields=_FIELDS.filter(bool))
     def test_scalar_only_documents(self, fields):
-        assert cli._document(fields) == json.dumps(fields, indent=2) + "\n"
+        assert document(fields) == json.dumps(fields, indent=2) + "\n"
 
     @settings(max_examples=100, deadline=None)
     @given(before=_FIELDS, after=_FIELDS,
            rows=st.lists(st.tuples(_INTS, _INTS, _FLOATS), max_size=6))
     def test_pair_entries(self, before, after, rows):
-        doc = {**before, "entries": cli._Entries(cli._PAIR_ENTRY, iter(rows)), **after}
+        columns = tuple([row[a] for row in rows] for a in range(3))
+        doc = {**before, "entries": cli._Entries(cli._PAIR_ENTRY, columns), **after}
         want = {**before, "entries": [{"i": i, "j": j, "v": v} for i, j, v in rows], **after}
-        # rendered twice: the rows are kept, not used up by the first render
-        assert cli._document(doc) == cli._document(doc) == json.dumps(want, indent=2) + "\n"
+        # rendered twice: the columns are kept, not used up by the first render
+        assert document(doc) == document(doc) == json.dumps(want, indent=2) + "\n"
 
     @settings(max_examples=100, deadline=None)
     @given(before=_FIELDS, after=_FIELDS, k=st.integers(1, 7), data=st.data())
@@ -404,10 +414,43 @@ class TestDocumentWriter:
         cells = data.draw(st.lists(
             st.tuples(st.tuples(*[_INTS] * k), _FLOATS), max_size=6
         ))
-        rows = (coords + (v,) for coords, v in cells)
-        doc = {**before, "entries": cli._Entries(cli._joint_entry(k), rows), **after}
+        columns = (*([c[a] for c, _ in cells] for a in range(k)), [v for _, v in cells])
+        doc = {**before, "entries": cli._Entries(cli._joint_entry(k), columns), **after}
         want = {**before, "entries": [{"coords": list(c), "v": v} for c, v in cells], **after}
-        assert cli._document(doc) == cli._document(doc) == json.dumps(want, indent=2) + "\n"
+        assert document(doc) == document(doc) == json.dumps(want, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1])
+    def test_entry_lists_are_written_in_bounded_pieces(self, count):
+        rng = random.Random(count)
+        rows = [(rng.randrange(10**6), rng.randrange(10**6), rng.random()) for _ in range(count)]
+        columns = tuple([row[a] for row in rows] for a in range(3))
+        doc = {"n_rows": 10**6, "entries": cli._Entries(cli._PAIR_ENTRY, columns),
+               "entropy_bits": 1.5}
+        want = {"n_rows": 10**6, "entries": [{"i": i, "j": j, "v": v} for i, j, v in rows],
+                "entropy_bits": 1.5}
+        assert document(doc) == document(doc) == json.dumps(want, indent=2) + "\n"
+        pieces = list(cli._pieces(doc))
+        # each entry, and nothing else in a document, holds '"i": '
+        counts = [piece.count('"i": ') for piece in pieces]
+        assert sum(counts) == count
+        assert max(counts) <= cli._CHUNK
+        # full pieces: the fewest that hold every entry
+        assert sum(map(bool, counts)) == -(-count // cli._CHUNK)
+
+    def test_out_file_has_the_bytes_of_stdout(self, capsys, files, tmp_path):
+        rng = random.Random(25)
+        rows = [random_masses(rng, n) for n in (4_000, 3_000, 5_000)]
+        path = files("d.json", rows)
+        code = run(["couple-k", "--dists", path])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        # the joint spans more than two pieces of the writer
+        assert out.count('"coords": ') > 2 * cli._CHUNK
+        target = tmp_path / "joint.json"
+        code = run(["couple-k", "--dists", path, "--out", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestCsvInputs:

@@ -577,6 +577,28 @@ class TestMergeTreeMatchesTheReference:
                     == joint_outcome(reference_min_entropy_joint_k, ds))
 
 
+class TestTagOrder:
+    """``_by_tag`` reads each tag as one mixed-radix int, and orders a node's
+    masses as a sort of the tag tuples does; ``_by_mass`` breaks tied masses
+    by that order."""
+
+    @pytest.mark.parametrize("axes", [2, 3, 5, 12])
+    def test_same_order_as_a_sort_of_the_tuples(self, axes):
+        rng = random.Random(axes)
+        # a column of zeros (radix 1), small radices and large ones
+        tops = [(1, 3, 50, 10**6)[a % 4] for a in range(axes)]
+        tags = list({tuple(rng.randrange(top) for top in tops) for _ in range(500)})
+        rng.shuffle(tags)
+        columns = tuple(map(list, zip(*tags)))
+        if axes == 12:
+            assert math.prod(max(column) + 1 for column in columns) > 2**64
+        assert multiway._by_tag(columns) == sorted(range(len(tags)), key=tags.__getitem__)
+        masses = [rng.choice((0.5, 0.25, 0.125)) for _ in tags]
+        pairs = sorted(zip(masses, tags), key=lambda t: (-t[0], t[1]))
+        assert multiway._by_mass((masses, columns)) == (
+            tuple(v for v, _ in pairs), tuple(zip(*(tag for _, tag in pairs))))
+
+
 def debug_instances(seed: int, count: int = 30) -> list:
     """Seeded lists of 2-7 marginals, each with its outcome (``joint_outcome``)
     with debug off."""
