@@ -256,30 +256,46 @@ def shapes(cap: int) -> list[tuple[int, int]]:
 def index_trees(n: int, m: int):
     """The trees of the shape's peel index, in tree order, as (edges, peel):
     the edges in index order, and per step the peeled node and the index of
-    its edge. Checks that the keys are sorted, that the prefix column counts
-    each key's bytes in common with the key before it, that each step joins
-    a row to a column, and that the tree positions are 0, 1, 2, ..."""
-    keys, shared = _peel_index(n, m)
+    its edge. Decodes the stream in order, keeping the path by depth: checks
+    that each step descends at most one depth and differs from the path's
+    step at its depth, so the keys it implies (a leaf's path, step by step)
+    are strictly increasing, that each step joins a row to a column, and
+    that the leaves' links are the tree positions 0, 1, 2, ..."""
+    nodes, others, depths, link = _peel_index(n, m)
     size = n + m - 1
-    assert list(keys) == sorted(keys) and len(shared) == len(keys)
+    assert len(nodes) == len(others) == len(depths) == len(link)
     trees = {}
-    before = b""
-    for key, common in zip(keys, shared):
-        assert len(key) == 2 * size + 3
-        differ = [j for j, (a, b) in enumerate(zip(before, key)) if a != b]
-        assert common == (differ[0] if differ else len(before)), (n, m, before, key)
-        before = key
-        steps = [(key[j], key[j + 1]) for j in range(0, 2 * size, 2)]
+    path: list[tuple[int, int]] = []
+    before = None
+    for t, depth in enumerate(depths):
+        assert depth <= len(path) and depth < size, (n, m, t)
+        step = (nodes[t], others[t])
+        assert depth == len(path) or path[depth] != step, (n, m, t)
+        del path[depth:]
+        path.append(step)
+        if depth < size - 1:
+            continue
+        assert before is None or path > before, (n, m, t)
+        before = path[:]
         cells = []
-        for node, other in steps:
+        for node, other in path:
             row, col = min(node, other), max(node, other)
-            assert row < n <= col < n + m, (n, m, key)
+            assert row < n <= col < n + m, (n, m, path)
             cells.append((row, col - n))
         edges = tuple(sorted(cells))
-        peel = tuple((node, edges.index(cell)) for (node, _), cell in zip(steps, cells))
-        trees[int.from_bytes(key[2 * size:], "big")] = (edges, peel)
-    assert sorted(trees) == list(range(len(keys)))
-    return tuple(trees[t] for t in range(len(keys)))
+        peel = tuple((node, edges.index(cell)) for (node, _), cell in zip(path, cells))
+        trees[link[t]] = (edges, peel)
+    assert sorted(trees) == list(range(depths.count(size - 1)))
+    return tuple(trees[t] for t in range(len(trees)))
+
+
+def fill_links(n: int, m: int) -> None:
+    """Fills every inner link of the shape's cached index, as walks do."""
+    _, _, depths, link = _peel_index(n, m)
+    last = n + m - 2
+    for t, depth in enumerate(depths):
+        if depth < last:
+            mec.oracle._link(depths, link, t)
 
 
 class TestTreeSchedules:
@@ -290,8 +306,8 @@ class TestTreeSchedules:
     def test_counts_every_spanning_tree(self):
         # Scoins: K_{n,m} has n^(m-1) * m^(n-1) spanning trees
         for n, m in shapes(CELL_CAP):
-            keys, _ = _peel_index(n, m)
-            assert len(keys) == n ** (m - 1) * m ** (n - 1), (n, m)
+            _, _, depths, _ = _peel_index(n, m)
+            assert depths.count(n + m - 2) == n ** (m - 1) * m ** (n - 1), (n, m)
 
     def test_schedules_peel_each_tree_leaf_by_leaf(self):
         for n, m in shapes(CELL_CAP):
@@ -310,16 +326,69 @@ class TestTreeSchedules:
     def test_cache_holds_only_schedules(self):
         # __wrapped__ builds a fresh index, so the shared cache is neither
         # cleared nor refilled; a 4x5 table of (edges, schedule) pairs
-        # retained 8.6 MiB, and one of shared step tuples 3.4-3.7 MiB
+        # retained 8.6 MiB, one of shared step tuples 3.4-3.7 MiB, and the
+        # sorted keys with their prefix column 1.9 MiB. A build that also
+        # kept each key's bytes peaked at 7.8 MiB
         tracemalloc.start()
         try:
-            keys, _ = _peel_index.__wrapped__(4, 5)
+            index = _peel_index.__wrapped__(4, 5)
             gc.collect()
-            retained, _ = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(keys) == 32_000
-        assert retained < 2 * 2**20, retained
+        assert index[2].count(7) == 32_000
+        assert retained < 2**20, retained
+        assert peak < 5 * 2**20, peak
+
+
+def scanned_link(depths: bytes, t: int) -> int:
+    """The first step after t at t's depth or above, by a plain scan."""
+    return next((u for u in range(t + 1, len(depths)) if depths[u] <= depths[t]), len(depths))
+
+
+class TestStreamLinks:
+    def test_filled_links_walk_to_the_same_bits(self):
+        # a fresh index fills its links as walks fail; one filled in full
+        # first must give every call the same trees, so the same bits
+        rng = random.Random(211)
+        families = (random_masses, grid64_masses, nudged_grid64_masses, uniform_masses,
+                    zero_containing_masses)
+
+        def bits(p, q):
+            res = mec.brute_force_min_entropy(p, q)
+            vertices = mec.enumerate_vertices(p, q)
+            return [vertex_bits(v) for v in vertices], res.opt_value.hex(), vertex_bits(res.argmin)
+
+        for n, m in shapes(CELL_CAP):
+            instances = [(masses(rng, n), masses(rng, m)) for masses in families]
+            _peel_index.cache_clear()
+            link = _peel_index(n, m)[3]
+            built = link[:]
+            fresh = []
+            for p, q in instances:
+                link[:] = built  # each call starts from the fresh index's links
+                fresh.append(bits(p, q))
+            fill_links(n, m)
+            assert [bits(p, q) for p, q in instances] == fresh, (n, m)
+
+    def test_each_filled_link_is_the_next_step_at_its_depth_or_above(self):
+        rng = random.Random(223)
+        for n, m in shapes(12):
+            _peel_index.cache_clear()
+            _, _, depths, link = _peel_index(n, m)
+            last = n + m - 2
+            # links a walk filled, then every link
+            mec.brute_force_min_entropy(random_masses(rng, n), random_masses(rng, m))
+            for fill in (False, True):
+                if fill:
+                    fill_links(n, m)
+                for t, depth in enumerate(depths):
+                    if depth < last and (fill or link[t]):
+                        assert link[t] == scanned_link(depths, t), (n, m, t)
+
+    def test_the_stream_shares_the_steps_of_common_prefixes(self):
+        _, _, depths, _ = _peel_index(4, 5)
+        assert len(depths) < 32_000 * 8
 
 
 class TestTwoPassLoopMatchesTheReference:
