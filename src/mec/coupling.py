@@ -27,12 +27,15 @@ unchecked, with the padded marginals and their lengths. One output step,
 original index order for each marginal: it maps the index columns through the
 sort permutations, orders the cells by two stable sorts, by column and then
 by row, which is the (row, col) order, and builds it through
-``_CellStore._fill``, the one checked build of both sparse types. The sparse
-engine, the dense engine and the CLI's ``couple`` and ``oracle-check`` run
-it. A caller that needs no cell order, as the k-way merges and
-``metric_estimate`` do, reads the raw cells through ``_raw_cells`` instead,
-which runs the same checks' C-level passes and leaves any failure to
-``_finish``, so that it raises the same ``ValueError``.
+``_CellStore._fill``, the one checked build of both sparse types. It
+consumes the walk's three columns, emptying each once it has read it, so
+that the output step never holds a column in both working and caller
+coordinates. The sparse engine, the dense engine and the CLI's ``couple``
+and ``oracle-check`` run it. A caller that needs no cell order, as the k-way
+merges and ``metric_estimate`` do, reads the raw cells through
+``_raw_cells`` instead, which runs the same checks' C-level passes and
+leaves any failure to ``_finish``, so that it raises the same
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -379,13 +382,21 @@ def _finish(
     # then stably by row. That is (row, col) order, padded indices included,
     # so an out-of-range cell is reported where the (row, col) order puts it.
     # Two sorts of small ints beat one sort of row * n + col, whose
-    # multi-digit ints lose CPython's fast int compare at n = 1e5
+    # multi-digit ints lose CPython's fast int compare at n = 1e5.
+    # It consumes the walk's columns, emptying each once it has read it, so
+    # no column is held in working and caller coordinates at once. The
+    # values are gathered first, so their list is gone before the rows and
+    # cols are gathered beside the sort order
     rows = list(map(dp.perm.__getitem__, wr))
+    wr.clear()
     cols = list(map(dq.perm.__getitem__, wc))
+    wc.clear()
     order = sorted(range(len(cols)), key=cols.__getitem__)
     order.sort(key=rows.__getitem__)
-    rows, cols, vals = (tuple(map(column.__getitem__, order)) for column in (rows, cols, vals))
-    return SparseCoupling._build((n_rows, n_cols), (rows, cols), vals)
+    values = tuple(map(vals.__getitem__, order))
+    vals.clear()
+    rows, cols = (tuple(map(column.__getitem__, order)) for column in (rows, cols))
+    return SparseCoupling._build((n_rows, n_cols), (rows, cols), values)
 
 
 def _both_overflow(i: int) -> InternalError:
@@ -491,13 +502,13 @@ def min_entropy_coupling_sparse(
     amount and requeues the remainder). Same output as the dense engine, bit
     for bit.
     """
-    cells, _ = _walk(_checked(p), _checked(q), debug)
-    return _finish(*cells)
+    # the walk's glb is dropped before the output step
+    return _finish(*_walk(_checked(p), _checked(q), debug)[0])
 
 
 # the walk's raw cells, as the arguments of _finish: values, rows and cols in
 # working coordinates and walk order, the padded marginals, and their lengths
-# before padding
+# before padding. _finish empties the three lists
 _Cells = tuple[list[float], list[int], list[int], Distribution, Distribution, int, int]
 
 
@@ -572,8 +583,9 @@ def _raw_cells(cells: _Cells) -> tuple[list[float], list[int], list[int]]:
     :func:`_cells_pass`, which clear cells in any order. The perms map
     working indices below n_rows (n_cols) onto the caller's lines and padded
     ones past them, so the passes agree with the check :func:`_finish` runs
-    on caller coordinates. Any failure goes to :func:`_finish`, which raises
-    the ``ValueError`` it names for the first bad cell in (row, col) order.
+    on caller coordinates. Any failure goes to :func:`_finish`, which empties
+    the cells' lists and raises the ``ValueError`` it names for the first bad
+    cell in (row, col) order.
     """
     vals, wr, wc, _, _, n_rows, n_cols = cells
     if len(vals) <= 2 * max(n_rows, n_cols) and _cells_pass((n_rows, n_cols), (wr, wc), vals):

@@ -80,6 +80,13 @@ def geometric_masses(rng: random.Random, n: int) -> list[float]:
     return [v / total for v in values]
 
 
+def copied_cells(cells: tuple) -> tuple:
+    """The walk's raw cells with their value, row and col lists copied:
+    ``_finish`` empties the lists it is handed, so a test that reads the
+    cells again hands it the copy."""
+    return (*map(list, cells[:3]), *cells[3:])
+
+
 def random_distribution(rng: random.Random, max_n: int = 8) -> mec.Distribution:
     return mec.make_distribution(
         random_masses(rng, rng.randint(1, max_n)), renormalize=True

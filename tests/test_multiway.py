@@ -20,6 +20,7 @@ from mec.majorization import HALF_COMPONENT_CAP
 from conftest import (
     WORKED_P,
     WORKED_Q,
+    copied_cells,
     geometric_masses,
     grid64_masses,
     random_masses,
@@ -785,7 +786,8 @@ class TestRawCellsDeferToFinish:
         def bad_walk(dp, dq, debug=False):
             cells, z = _walk(dp, dq, debug)
             emitted.append(corrupted(kind, cells))
-            return emitted[-1], z
+            # the caller's _finish empties its copy; the test reads emitted
+            return copied_cells(emitted[-1]), z
 
         module = multiway if caller == "merge" else reports
         monkeypatch.setattr(module, "_walk", bad_walk)
