@@ -310,7 +310,11 @@ def _execute(ns: argparse.Namespace) -> dict:
     if ns.subcommand == "couple-k":
         rows = _load_dists(ns)
         ds = [_dist(row, f"dists[{i}]", ns) for i, row in enumerate(rows)]
-        joint = min_entropy_joint_k(ds)
+        try:
+            joint = min_entropy_joint_k(ds)
+        except InputError as exc:
+            # one row: too few marginals to couple
+            raise InputError(f"dists: {exc}") from exc
         values = joint.values()
         bounds = frl_bounds(ds)
         return {
@@ -349,8 +353,12 @@ def _execute(ns: argparse.Namespace) -> dict:
 
     if ns.subcommand == "oracle-check":
         dp, dq = _pair(ns)
-        # the oracle's cell cap rejects oversized input before any coupling work
-        opt = brute_force_min_entropy(dp, dq)
+        # the oracle's cell cap rejects oversized input before any coupling
+        # work; the grid is both marginals' doing
+        try:
+            opt = brute_force_min_entropy(dp, dq)
+        except InputError as exc:
+            raise InputError(f"p, q: {exc}") from exc
         m = _finish(*_walk(dp, dq)[0])
         ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:

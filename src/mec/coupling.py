@@ -25,13 +25,13 @@ sorted working positions. The walk returns these raw cells, unordered and
 unchecked, with the padded marginals and their lengths. One output step,
 ``_finish``, turns them into a :class:`SparseCoupling` in the caller's
 original index order for each marginal: it maps the index columns through the
-sort permutations, orders the cells by two stable sorts, by column and then
-by row, which is the (row, col) order, and builds it through
-``_CellStore._fill``, the one checked build of both sparse types. It
-consumes the walk's three columns, emptying each once it has read it, so
-that the output step never holds a column in both working and caller
-coordinates. The sparse engine, the dense engine and the CLI's ``couple``
-and ``oracle-check`` run it. A caller that needs no cell order, as the k-way
+sort permutations and hands them to ``_CellStore._build``, which puts the
+engine cells of both sparse types in coordinate order, by one stable sort
+per axis (``_cell_order``), and checks them through ``_CellStore._fill``.
+Both consume the lists they read, emptying each once read, so that no
+column is held in both working and caller coordinates, or in both orders.
+The sparse engine, the dense engine and the CLI's ``couple`` and
+``oracle-check`` run it. A caller that needs no cell order, as the k-way
 merges and ``metric_estimate`` do, reads the raw cells through
 ``_raw_cells`` instead, which runs the same checks' C-level passes and
 leaves any failure to ``_finish``, so that it raises the same
@@ -92,9 +92,11 @@ class _CellStore:
 
     @classmethod
     def _build(cls, dims, columns, values):
-        # a new store of the engines' cells
+        # a new store of the engines' cells, put in coordinate order; a list
+        # handed in is emptied once read, values first
+        values, *columns = _gather((values, *columns), _cell_order(columns, len(values)))
         store = object.__new__(cls)
-        store._fill(dims, columns, values)
+        store._fill(dims, tuple(columns), values)
         return store
 
     def _fill(self, dims, columns, values, cells=None) -> None:
@@ -190,6 +192,28 @@ def _exactly(kind: type, items) -> bool:
 def _cells(index, count: int):
     # the cells' index tuples, in order; with no axes, ``count`` empty ones
     return zip(*index) if index else repeat((), count)
+
+
+def _cell_order(index, count: int) -> list[int]:
+    # the positions of ``count`` cells in the order of their index tuples,
+    # repeats in the order given, by one stable sort of small ints per axis,
+    # last axis first. One sort of mixed-radix codes (_codes) is no faster
+    # beyond noise at n = 1e5 on a 2-vCPU Xeon (Python 3.11), and its
+    # multi-digit ints lift the output step's traced peak by 8 MiB, 14 to 22
+    order = list(range(count))
+    for ix in reversed(index):
+        order.sort(key=ix.__getitem__)
+    return order
+
+
+def _gather(columns, order) -> tuple[tuple, ...]:
+    # each column read at the positions ``order``; a list is emptied once read
+    gathered = []
+    for column in columns:
+        gathered.append(tuple(map(column.__getitem__, order)))
+        if type(column) is list:
+            column.clear()
+    return tuple(gathered)
 
 
 def _first_bad_cell(dims, index, values):
@@ -378,25 +402,14 @@ def _finish(
     n_cols: int,
 ) -> SparseCoupling:
     # cell k has value vals[k] at (wr[k], wc[k]) in sorted positions; map
-    # the index columns through the perms, and order the cells by column,
-    # then stably by row. That is (row, col) order, padded indices included,
-    # so an out-of-range cell is reported where the (row, col) order puts it.
-    # Two sorts of small ints beat one sort of row * n + col, whose
-    # multi-digit ints lose CPython's fast int compare at n = 1e5.
-    # It consumes the walk's columns, emptying each once it has read it, so
-    # no column is held in working and caller coordinates at once. The
-    # values are gathered first, so their list is gone before the rows and
-    # cols are gathered beside the sort order
+    # the index columns through the perms, emptying each once read, and let
+    # _build put the cells in (row, col) order, padded indices included, so
+    # an out-of-range cell is reported where that order puts it
     rows = list(map(dp.perm.__getitem__, wr))
     wr.clear()
     cols = list(map(dq.perm.__getitem__, wc))
     wc.clear()
-    order = sorted(range(len(cols)), key=cols.__getitem__)
-    order.sort(key=rows.__getitem__)
-    values = tuple(map(vals.__getitem__, order))
-    vals.clear()
-    rows, cols = (tuple(map(column.__getitem__, order)) for column in (rows, cols))
-    return SparseCoupling._build((n_rows, n_cols), (rows, cols), values)
+    return SparseCoupling._build((n_rows, n_cols), (rows, cols), vals)
 
 
 def _both_overflow(i: int) -> InternalError:

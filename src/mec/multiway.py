@@ -14,9 +14,10 @@ by its coordinates, so no merge's cell order reaches the output.
 Adjacent nodes merge level by level and an odd last node moves up a level
 unchanged, so the tree is ceil(log2 k) merges deep. The entropy gap doubles
 its budget at most once per level, giving H <= H(glb of all marginals) +
-ceil(log2 k) at the root. The root's sorted columns are the index columns of
-a :class:`SparseJoint`, built through the one checked build it shares with
-``SparseCoupling``, ``_CellStore._fill``, as the public constructor builds it.
+ceil(log2 k) at the root. The root's columns go as they are to
+``_CellStore._build``, which sorts the cells of both sparse types by their
+coordinates (``_cell_order``, which also breaks ties of node masses) and
+builds a :class:`SparseJoint` through the one checked build, ``_fill``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .coupling import (
+    _cell_order,
     _cells,
     _CellStore,
-    _codes,
     _exactly,
+    _gather,
     _line_sums,
     _raw_cells,
     _unit,
@@ -126,7 +128,7 @@ def _couple(left: _Node, right: _Node, debug: bool) -> _Node:
     # leaves, in walk order: their values, and the index columns of both
     # nodes read at each cell. The walk runs its debug checks if ``debug``;
     # its raw cells are checked as _finish checks them, and never ordered:
-    # _by_mass or the root orders every node
+    # _by_mass or the root's _build orders every node
     (left_masses, left_columns), (right_masses, right_columns) = left, right
     dl = _sorted_distribution(left_masses, tuple(range(len(left_masses))))
     dr = _sorted_distribution(right_masses, tuple(range(len(right_masses))))
@@ -137,20 +139,6 @@ def _couple(left: _Node, right: _Node, debug: bool) -> _Node:
     return values, (*_gather(left_columns, rows), *_gather(right_columns, cols))
 
 
-def _gather(columns, order) -> tuple[tuple[int, ...], ...]:
-    # each column read at the positions ``order``
-    return tuple(tuple(map(column.__getitem__, order)) for column in columns)
-
-
-def _by_tag(columns) -> list[int]:
-    # the positions of a node's masses in the order of their tags. Each tag
-    # is read as one mixed-radix int, a column's radix its largest index + 1,
-    # which orders as the tag tuples do; Python ints keep it exact at any size
-    radices = [max(column) + 1 for column in columns]
-    codes = list(_codes(radices, columns, len(columns[0])))
-    return sorted(range(len(codes)), key=codes.__getitem__)
-
-
 def _by_mass(node: _Node) -> _Node:
     # the node sorted by (-mass, tag). One float sort settles distinct
     # masses; only when two are equal does a stable mass sort run again,
@@ -159,7 +147,7 @@ def _by_mass(node: _Node) -> _Node:
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     masses = tuple(map(values.__getitem__, order))
     if any(map(operator.eq, masses, islice(masses, 1, None))):
-        order = _by_tag(columns)
+        order = _cell_order(columns, len(values))
         order.sort(key=values.__getitem__, reverse=True)
         masses = tuple(map(values.__getitem__, order))
     return masses, _gather(columns, order)
@@ -214,10 +202,9 @@ def min_entropy_joint_k(
         if not majorizes(witness, values):
             raise InternalError("the joint violates its majorization witness")
 
-    # the root's cells are sorted once, by coordinates, which never repeat;
-    # its index columns are the joint's, one per axis
-    order = _by_tag(columns)
-    return SparseJoint._build(dims, _gather(columns, order), tuple(map(values.__getitem__, order)))
+    # the root's index columns are the joint's, one per axis; _build puts its
+    # cells in coordinate order, which never repeats
+    return SparseJoint._build(dims, columns, values)
 
 
 def joint_lower_bound_k(ds: Sequence[Distribution | Sequence[float]]) -> float:

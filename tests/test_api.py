@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+import sys
+
 import mec
 
 PUBLIC_NAMES = [
@@ -60,3 +64,18 @@ PUBLIC_NAMES = [
 def test_all_is_pinned_and_every_name_resolves():
     assert sorted(mec.__all__) == PUBLIC_NAMES
     assert all(hasattr(mec, name) for name in mec.__all__)
+
+
+def test_only_the_standard_library_is_imported_and_no_assert_is_relied_on():
+    # the package is dependency-free, and keeps every invariant under
+    # python -O, which strips assert statements
+    sources = sorted(pathlib.Path(mec.__file__).parent.glob("*.py"))
+    imported = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert sources and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names

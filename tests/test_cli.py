@@ -181,6 +181,7 @@ class TestCoupleKCommand:
         )
         assert code == 2
         assert "two" in err
+        assert err.startswith("error: dists: ")
 
     def test_row_errors_name_their_index(self, capsys, files):
         code, err = run_error(
@@ -283,6 +284,7 @@ class TestOracleCheckCommand:
         )
         assert code == 2
         assert "cap" in err
+        assert err.startswith("error: p, q: ")
 
 
 def _seeded_masses(rng: random.Random, n: int, zeros: int) -> list[float]:

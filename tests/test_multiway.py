@@ -545,12 +545,11 @@ class TestMergeTreeMatchesTheReference:
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_same_joint_or_same_exception(self, k, monkeypatch):
-        # count the tag sorts: one per root that passes its merge's checks,
-        # plus one per non-root node whose masses tie
-        tag_sorts = []
-        by_tag = multiway._by_tag
-        monkeypatch.setattr(multiway, "_by_tag",
-                            lambda *args: tag_sorts.append(1) or by_tag(*args))
+        # count _by_mass's tie-breaks: one per non-root node whose masses tie
+        tie_sorts = []
+        cell_order = multiway._cell_order
+        monkeypatch.setattr(multiway, "_cell_order",
+                            lambda *args: tie_sorts.append(1) or cell_order(*args))
         rng = random.Random(2000 + k)
         joints = raised = 0
         for t in range(60):
@@ -565,8 +564,8 @@ class TestMergeTreeMatchesTheReference:
             raised += want[0] is ValueError
         # both paths ran: joints, and the padded-column ValueError
         assert joints and raised
-        if k > 2:
-            assert len(tag_sorts) > joints
+        # only non-root nodes are sorted by mass, so ties are broken at k > 2
+        assert bool(tie_sorts) == (k > 2)
 
     def test_bench_scale_marginals(self):
         rng = random.Random(2100)
@@ -579,9 +578,9 @@ class TestMergeTreeMatchesTheReference:
 
 
 class TestTagOrder:
-    """``_by_tag`` reads each tag as one mixed-radix int, and orders a node's
-    masses as a sort of the tag tuples does; ``_by_mass`` breaks tied masses
-    by that order."""
+    """``coupling._cell_order`` orders cells as a sort of their index tuples
+    does, repeats in the order given; ``_by_mass`` breaks tied masses by that
+    order, and ``_build`` stores the engines' cells in it."""
 
     @pytest.mark.parametrize("axes", [2, 3, 5, 12])
     def test_same_order_as_a_sort_of_the_tuples(self, axes):
@@ -592,12 +591,45 @@ class TestTagOrder:
         rng.shuffle(tags)
         columns = tuple(map(list, zip(*tags)))
         if axes == 12:
+            # no mixed-radix code of these tags fits in 64 bits
             assert math.prod(max(column) + 1 for column in columns) > 2**64
-        assert multiway._by_tag(columns) == sorted(range(len(tags)), key=tags.__getitem__)
+        assert coupling._cell_order(columns, len(tags)) == sorted(
+            range(len(tags)), key=tags.__getitem__)
         masses = [rng.choice((0.5, 0.25, 0.125)) for _ in tags]
         pairs = sorted(zip(masses, tags), key=lambda t: (-t[0], t[1]))
         assert multiway._by_mass((masses, columns)) == (
             tuple(v for v, _ in pairs), tuple(zip(*(tag for _, tag in pairs))))
+
+    @pytest.mark.parametrize("axes", [1, 2, 4])
+    def test_repeated_cells_keep_the_order_given(self, axes):
+        # shuffled cells, some copied up to three times: they come out in
+        # tuple order and the copies in input order, so that _fill names the
+        # first copy given
+        rng = random.Random(100 + axes)
+        distinct = [tuple(rng.randrange(4) for _ in range(axes)) for _ in range(60)]
+        cells = [cell for cell in distinct for _ in range(rng.randint(1, 3))]
+        rng.shuffle(cells)
+        order = coupling._cell_order(tuple(zip(*cells)), len(cells))
+        assert order == sorted(range(len(cells)), key=lambda k: (cells[k], k))
+
+    @pytest.mark.parametrize("store", [mec.SparseCoupling, mec.SparseJoint])
+    def test_build_empties_its_lists_and_leaves_tuples_alone(self, store):
+        rows, cols = [2, 0, 1, 0], (0, 1, 1, 0)
+        values = [0.25, 0.125, 0.5, 0.0625]
+        built = store._build((3, 2), (rows, cols), values)
+        assert rows == values == [] and cols == (0, 1, 1, 0)
+        columns = (built.rows, built.cols) if store is mec.SparseCoupling else built.columns
+        assert columns == ((0, 0, 1, 2), (0, 1, 1, 0))
+        assert built.values() == (0.0625, 0.125, 0.5, 0.25)
+
+    def test_build_names_the_first_copy_of_a_repeat(self):
+        # two copies of cell (1, 0), each bad in its own way: the check walks
+        # them in the order given and names the first
+        rows, cols = [1, 0, 1, 0], [0, 1, 0, 0]
+        values = [math.inf, 0.25, -1.0, 0.375]
+        with pytest.raises(ValueError, match=r"^entry \(1, 0\) must be finite, got inf$"):
+            mec.SparseCoupling._build((2, 2), (rows, cols), values)
+        assert rows == cols == values == []
 
 
 def debug_instances(seed: int, count: int = 30) -> list:
