@@ -17,7 +17,8 @@ So it builds only trees, in the lexicographic order of
 cells of the same first tree, and each argmin stays the same.
 
 Only an index of the trees' leaf peels is cached, per (n_rows, n_cols)
-shape: each tree's peel, one (node, other) step per edge, is a key; the keys
+shape: each tree's peel, one (node, other) step per edge, is a key of one
+byte per step (the step's rank among the shape's 2 * n * m steps); the keys
 are sorted and stored as a trie flattened into one preorder stream, each
 step once per distinct prefix (126,796 steps at 4x5, against 32,000 trees of
 8). The stream has byte columns of each step's node, far end and depth, and
@@ -26,21 +27,26 @@ above, the first step past its subtree: it is 0 until first needed, then
 filled by one search of the depth column. Filling is idempotent, so callers
 that race on a link write the same value. A leaf has no subtree: pass or
 fail, the walk goes on to the next step, so its link is free to hold its
-tree's position in tree order.
+tree's position in tree order. A small per-shape table maps each step to
+its cell, for the keys below.
 A call walks the stream once, one residual list per depth. A step fails if
 its node's residual is below -1e-12, or if it leaves its far end's below
 -1e-6 (see ``_CUT``): the walk then jumps to its link, past every tree that
 shares the failed prefix; a passed step records its value and moves on to the
 next. So a 4x5 call visits some 8,400 steps, not 32,000 trees of 8 steps, and
 each tree still subtracts in its own peel order, to the same floats. The
-feasible trees (about 3% at 4x5, 11% at 2x10 on random marginals) keep their
-path, the stream position of each step, and go back into tree order by
-position; a tree to key reads its steps through its path, and is keyed on its
-positive cells, values rounded to 1e-12; a key keeps its first tree's cells.
-``enumerate_vertices`` builds a grid per key. Brute force scores each
-feasible tree's entropy, keys only the trees within a slack of the least,
-and builds the argmin's grid; a comment above ``brute_force_min_entropy``
-shows why the slack loses no bit.
+walk hands each feasible leaf (about 3% of the trees at 4x5, 11% at 2x10 on
+random marginals) to its caller as it reaches it, and keeps nothing of it.
+A tree is keyed on its positive cells, 7 bytes per cell of its index and
+its value rounded to 1e-12; a key keeps its first tree in tree order.
+A caller keeps per tree at most its position, its last step and one float:
+it rebuilds a tree it needs later from its last step, the path from the
+depth column and the values by the same subtractions.
+``enumerate_vertices`` keys every feasible leaf and builds a grid per key.
+Brute force scores each leaf's entropy as it arrives and keeps a record only
+for a leaf within a slack of the least so far; at the end it keys the
+records within that slack of the least, and builds the argmin's grid. A
+comment above ``brute_force_min_entropy`` shows why the slack loses no bit.
 """
 
 from __future__ import annotations
@@ -98,7 +104,12 @@ def _peel_index(n: int, m: int) -> tuple[bytes, bytes, bytes, array]:
     size = n + m - 1
     all_edges = [(r, c) for r in range(n) for c in range(m)]
     nodes = range(n + m)
-    step_code = [[v << 8 | o for o in nodes] for v in nodes]
+    # a step's code is its rank among the shape's 2 * n * m (node, other)
+    # steps in (node, other) order: one byte that sorts as the step does
+    steps = [(v, o) for v in nodes for o in nodes if (v < n) != (o < n)]
+    step_code = [[0] * len(nodes) for _ in nodes]
+    for code, (v, o) in enumerate(steps):
+        step_code[v][o] = code
     parent = list(nodes)  # union-find forest, undone on backtrack
     # per node, 256 * degree + the sum of the positions (at most 190) of its
     # edges: a leaf's is 256 + its edge's position, at which end_sum holds
@@ -121,7 +132,7 @@ def _peel_index(n: int, m: int) -> tuple[bytes, bytes, bytes, array]:
             v = pop()
             at = rest[v]
             other = end_sum[at] - v
-            key = key << 16 | step_code[v][other]
+            key = key << 8 | step_code[v][other]
             left = rest[other] = rest[other] - at
             if left < 512:
                 push(other)
@@ -158,23 +169,30 @@ def _peel_index(n: int, m: int) -> tuple[bytes, bytes, bytes, array]:
                 break
 
     grow(0, 0, m)
-    keys.sort()
+    # grow's closure holds grow: without this, the cycle would keep the
+    # build's lists until a cyclic collection
+    del grow
+    # popped in sorted order, so each key is freed once its steps are in
+    keys.sort(reverse=True)
     # each key adds its steps from the first one it does not share with the
     # key before it; keys of one length agree above the highest bit of their xor
-    bits = 16 * size + 24
-    steps, depths, link = bytearray(), bytearray(), array("I")
-    cut = [slice(2 * d, -3) for d in range(size)]  # a key's steps from depth d on
+    bits = 8 * size + 24
+    codes, depths, link = bytearray(), bytearray(), array("I")
+    cut = [slice(d, -3) for d in range(size)]  # a key's steps from depth d on
     tails = [bytes(range(d, size)) for d in range(size)]
     unfilled = [array("I", bytes(4 * (size - 1 - d))) for d in range(size)]
-    before = keys[0] ^ 1 << (bits - 1)  # differs from the first key in its first step
-    for key in keys:
-        depth = (bits - (key ^ before).bit_length()) >> 4
+    before = keys[-1] ^ 1 << (bits - 1)  # differs from the first key in its first step
+    pop = keys.pop
+    while keys:
+        key = pop()
+        depth = (bits - (key ^ before).bit_length()) >> 3
         before = key
-        steps += key.to_bytes(bits >> 3, "big")[cut[depth]]
+        codes += key.to_bytes(bits >> 3, "big")[cut[depth]]
         depths += tails[depth]
         link += unfilled[depth]
         link.append(key & 0xFFFFFF)
-    return bytes(steps[::2]), bytes(steps[1::2]), bytes(depths), link
+    node_of, other_of = (bytes(step[a] for step in steps).ljust(256, b"\0") for a in (0, 1))
+    return codes.translate(node_of), codes.translate(other_of), bytes(depths), link
 
 
 # _within(limit)(depths, t): the first step from the t-th on at depth limit or
@@ -193,15 +211,18 @@ _CUT = -1e3 * NORMALIZATION_TOL
 def _feasible(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
-) -> tuple[int, int, list[tuple[list[int], list[float]]]]:
-    """(n, m, trees): each feasible tree's path, the stream position of each
-    of its steps, and its edges' values, in tree order. Checks each marginal
-    once, p before q, and the cell cap.
+) -> tuple[int, int, Iterable[tuple[int, list[int], list[float], list[float]]]]:
+    """(n, m, leaves): checks each marginal once, p before q, and the cell
+    cap, and returns the walk of the shape's stream as a generator of its
+    feasible leaves, in stream order. Each leaf is (position, path, values,
+    base): its tree's position in tree order; the stream position of each of
+    its steps, and their values, in lists the walk overwrites, so a caller
+    reads them before it asks for the next leaf; and the residuals
+    [*p, *q] the walk starts from, for :func:`_solved`.
 
-    One pass over the shape's stream: a step that passes goes on to the next
-    step in the stream, and an inner step that fails goes to its link, past
-    its subtree, filling the link on first use. A leaf that passes records
-    its tree under the position its link holds."""
+    One pass over the stream: a step that passes goes on to the next step,
+    and an inner step that fails goes to its link, past its subtree,
+    filling the link on first use."""
     # raw masses are checked, unsorted, in _caller_order; a Distribution's
     # masses get the same checks before they are unsorted
     pvec = _caller_order(_checked(p) if isinstance(p, Distribution) else p)
@@ -209,12 +230,18 @@ def _feasible(
     n, m = len(pvec), len(qvec)
     if n * m > CELL_CAP:
         raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
-    nodes, others, depths, link = _peel_index(n, m)
-    last, count, floor = n + m - 2, len(depths), -_ROUND
-    # per depth, the residuals [*p, *q] before the current path's step there,
-    # and the path's steps and values above it
-    residuals, path, values = [[*pvec, *qvec]] * (last + 1), [0] * (last + 1), [0.0] * (last + 1)
-    found = []
+    return n, m, _walk(_peel_index(n, m), [*pvec, *qvec])
+
+
+def _walk(
+    index: tuple[bytes, bytes, bytes, array], base: list[float],
+) -> Iterator[tuple[int, list[int], list[float], list[float]]]:
+    """The leaves of :func:`_feasible`, from the shape's index and [*p, *q]."""
+    nodes, others, depths, link = index
+    last, count, floor = len(base) - 2, len(depths), -_ROUND
+    # per depth, the residuals before the current path's step there, and the
+    # path's steps and values above it
+    residuals, path, values = [base] * (last + 1), [0] * (last + 1), [0.0] * (last + 1)
     t = 0
     while t < count:
         depth = depths[t]
@@ -231,15 +258,13 @@ def _feasible(
         path[depth] = t
         values[depth] = v
         if depth == last:
-            found.append((link[t], path[:], values[:]))
+            yield link[t], path, values, base
         else:
             # a peeled node has no edge left, so its residual is never read again
             residual = residual[:]
             residual[other] -= v
             residuals[depth + 1] = residual
         t += 1
-    found.sort()
-    return n, m, [(path, values) for _, path, values in found]
 
 
 def _link(depths: bytes, link: array, t: int) -> int:
@@ -249,30 +274,61 @@ def _link(depths: bytes, link: array, t: int) -> int:
     return link[t]
 
 
-def _steps(n: int, m: int, path: list[int]) -> Iterator[tuple[int, int]]:
-    """A feasible tree's (node, other) steps, read from the stream through
-    its path."""
+def _solved(n: int, m: int, base: list[float], leaf: int) -> tuple[list[int], list[float]]:
+    """(path, values) of the feasible tree whose last step is ``leaf``, as
+    the walk had them there. A step's parent is the last step before it one
+    depth up, and each value comes from the walk's subtractions, in its
+    order, so to the same floats."""
+    nodes, others, depths, _ = _peel_index(n, m)
+    path = [leaf] * (depths[leaf] + 1)
+    for depth in range(len(path) - 2, -1, -1):
+        leaf = path[depth] = depths.rindex(depth, 0, leaf)
+    residual = base[:]
+    values = []
+    for t in path:
+        v = residual[nodes[t]]
+        residual[others[t]] -= v
+        values.append(v)
+    return path, values
+
+
+@lru_cache(maxsize=None)
+def _cells(n: int, m: int) -> tuple[bytes, bytes, tuple[tuple[int, ...], ...]]:
+    """(nodes, others, codes): the shape's stream columns of each step's node
+    and far end, and per (node, other) step its cell r * m + c shifted left
+    by 40 bits, above the cell's rounded value in a key."""
     nodes, others, _, _ = _peel_index(n, m)
-    return zip(map(nodes.__getitem__, path), map(others.__getitem__, path))
+    return nodes, others, tuple(
+        tuple((min(v, o) * m + max(v, o) - n) << 40 if (v < n) != (o < n) else 0
+              for o in range(n + m)) for v in range(n + m))
 
 
 def _keyed(
-    n: int, steps: Iterable[tuple[int, int]], values: list[float],
-) -> tuple[tuple, list[tuple[int, int, float]]]:
-    """(key, cells): a solved tree's positive (r, c, v) cells in (r, c)
-    order, and their deduplication key, the values rounded to 1e-12."""
-    cells = sorted([(node, other - n, v) if node < other else (other, node - n, v)
-                    for (node, other), v in zip(steps, values) if v > 0.0])
-    return tuple([(r, c, round(v / _ROUND)) for r, c, v in cells]), cells
+    cells: tuple[bytes, bytes, tuple[tuple[int, ...], ...]], path: list[int], values: list[float],
+) -> bytes:
+    """A solved tree's deduplication key: per positive cell in (r, c) order,
+    7 big-endian bytes of (r * m + c) << 40 | round(v / 1e-12). A value is at
+    most 1 + 2e-9, under 2**40 * 1e-12, so the keys sort as the tuples of
+    their (r, c, round(v / 1e-12)) cells do."""
+    nodes, others, codes = cells
+    key = sorted([codes[nodes[t]][others[t]] | round(v / _ROUND)
+                  for t, v in zip(path, values) if v > 0.0])
+    return b"".join([code.to_bytes(7, "big") for code in key])
 
 
-def _vertex(n: int, m: int, cells: list[tuple[int, int, float]]) -> VertexCoupling:
+def _vertex(n: int, m: int, path: list[int], values: list[float]) -> VertexCoupling:
+    nodes, others, _, _ = _peel_index(n, m)
     grid = [[0.0] * m for _ in range(n)]
-    for r, c, v in cells:
-        grid[r][c] = v
+    for t, v in zip(path, values):
+        if v > 0.0:
+            node, other = nodes[t], others[t]
+            if node < other:
+                grid[node][other - n] = v
+            else:
+                grid[other][node - n] = v
     return VertexCoupling(
         tuple(tuple(row) for row in grid),
-        tuple((r, c) for r, c, _ in cells),
+        tuple((r, c) for r in range(n) for c in range(m) if grid[r][c] > 0.0),
     )
 
 
@@ -291,16 +347,45 @@ def enumerate_vertices(
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    n, m, trees = _feasible(p, q)
-    found: dict[tuple, list[tuple[int, int, float]]] = {}
-    for path, values in trees:
-        key, cells = _keyed(n, _steps(n, m, path), values)
-        found.setdefault(key, cells)
-    return [_vertex(n, m, found[key]) for key in sorted(found)]
+    n, m, leaves = _feasible(p, q)
+    cells = _cells(n, m)
+    # per key, its first tree in tree order: position and last step
+    found: dict[bytes, tuple[int, int]] = {}
+    base: list[float] = []
+    for position, path, values, base in leaves:
+        key = _keyed(cells, path, values)
+        first = found.get(key)
+        if first is None or position < first[0]:
+            found[key] = position, path[-1]
+    return [_vertex(n, m, *_solved(n, m, base, found[key][1])) for key in sorted(found)]
+
+
+def _near_least(
+    leaves: Iterable[tuple[int, list[int], list[float], list[float]]],
+) -> tuple[float, list[tuple[int, float, int]], list[float]]:
+    """(least, kept, base): scores each leaf as the walk reaches it, with
+    the float shannon_entropy returns for its positive cells, and keeps
+    (position, entropy, last step) only for a leaf within _NEAR of the least
+    entropy so far; base is the residuals the leaves start from, empty if
+    there is no leaf."""
+    least = math.inf
+    kept = []
+    base: list[float] = []
+    for position, path, values, base in leaves:
+        h = -math.fsum([v * math.log2(v) for v in values if v > 0.0]) + 0.0
+        if h <= least + _NEAR:
+            kept.append((position, h, path[-1]))
+            if h < least:
+                least = h
+    return least, kept, base
 
 
 # Brute force keys only the trees whose entropy is within _NEAR of the least
 # tree's, and returns the same bits as keying every tree would:
+# - The least only falls as the walk goes on, so a tree within _NEAR of the
+#   final least was within _NEAR of every least before it: the records that
+#   _near_least keeps hold every tree of the keyed set, and the final filter
+#   keeps exactly that set.
 # - Two trees with one key have the same positive cells, each within about
 #   1e-12. Where both values are at least 1e-12, |d(-v log2 v)/dv| <= 38.5
 #   bounds their terms' difference by 3.9e-11; below 2e-12 each term is
@@ -329,13 +414,13 @@ def brute_force_min_entropy(
 ) -> OracleResult:
     """True minimum coupling entropy by exhaustive vertex scoring.
 
-    Solves every feasible tree once and scores its entropy. Only the trees
-    within 1e-6 bits of the least are keyed and deduplicated as
-    :func:`enumerate_vertices` does, and their vertices are scanned in
-    dedup-key order; a vertex replaces the best so far only if its entropy
-    is more than 1e-15 lower. Returns the minimum in bits and the first
-    vertex in dedup-key order attaining it, the same bits as a scan of
-    every vertex of :func:`enumerate_vertices` gives.
+    Solves every feasible tree once and scores its entropy as the walk
+    reaches it. Only the trees within 1e-6 bits of the least are keyed and
+    deduplicated as :func:`enumerate_vertices` does, and their vertices are
+    scanned in dedup-key order; a vertex replaces the best so far only if
+    its entropy is more than 1e-15 lower. Returns the minimum in bits and
+    the first vertex in dedup-key order attaining it, the same bits as a
+    scan of every vertex of :func:`enumerate_vertices` gives.
 
     Raises:
         TooLargeError: as :func:`enumerate_vertices`.
@@ -348,23 +433,23 @@ def brute_force_min_entropy(
         >>> res.opt_value, res.argmin.grid
         (1.5, ((0.5, 0.0), (0.0, 0.25), (0.0, 0.25)))
     """
-    n, m, trees = _feasible(p, q)
-    if not trees:
+    n, m, leaves = _feasible(p, q)
+    least, kept, base = _near_least(leaves)
+    if not kept:
         raise InternalError("the coupling polytope has no scored vertex")
-    # each tree's entropy, the float shannon_entropy returns for its positive cells
-    scored = [(-math.fsum([v * math.log2(v) for v in values if v > 0.0]) + 0.0, path, values)
-              for path, values in trees]
-    near = min(h for h, _, _ in scored) + _NEAR
-    found: dict[tuple, tuple[float, list[tuple[int, int, float]]]] = {}
-    for h, path, values in scored:
+    near = least + _NEAR
+    cells = _cells(n, m)
+    # per key, the entropy and last step of its first tree in tree order
+    found: dict[bytes, tuple[float, int]] = {}
+    for _, h, leaf in sorted(kept):
         if h <= near:
-            key, cells = _keyed(n, _steps(n, m, path), values)
-            found.setdefault(key, (h, cells))
+            path, values = _solved(n, m, base, leaf)
+            found.setdefault(_keyed(cells, path, values), (h, leaf))
     best_value = math.inf
-    best_cells: list[tuple[int, int, float]] = []
+    best_leaf = 0
     for key in sorted(found):
-        h, cells = found[key]
+        h, leaf = found[key]
         if h < best_value - 1e-15:
             best_value = h
-            best_cells = cells
-    return OracleResult(best_value, _vertex(n, m, best_cells))
+            best_leaf = leaf
+    return OracleResult(best_value, _vertex(n, m, *_solved(n, m, base, best_leaf)))
