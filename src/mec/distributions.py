@@ -195,10 +195,14 @@ def _caller_order(d: Distribution | Sequence[float], tol: float = NORMALIZATION_
 
 def _checked(d: Distribution | Sequence[float]) -> Distribution:
     """A marginal checked once: raw masses by :func:`make_distribution`, or a
-    :class:`Distribution`'s by the same checks, and then returned as given."""
+    :class:`Distribution`'s by the same checks and clamp, and then returned
+    as given if it holds no negative mass."""
     if not isinstance(d, Distribution):
         return make_distribution(d)
-    _caller_masses(d.masses)
+    masses = _caller_masses(d.masses)
+    # sorted masses: a negative one, clamped to 0 as raw masses are, is last
+    if d.masses[-1] < 0.0:
+        return _sorted_distribution(tuple(masses), d.perm)
     return d
 
 

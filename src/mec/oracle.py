@@ -16,20 +16,21 @@ So it builds only trees, in the lexicographic order of
 ``itertools.combinations`` over the edges: each deduplicated vertex keeps the
 cells of the same first tree, and each argmin stays the same.
 
-Only an index of the trees' leaf peels is cached, per (n_rows, n_cols)
-shape: each tree's peel, one (node, other) step per edge, is a key of one
-byte per step (the step's rank among the shape's 2 * n * m steps); the keys
-are sorted and stored as a trie flattened into one preorder stream, each
-step once per distinct prefix (126,796 steps at 4x5, against 32,000 trees of
-8). The stream has byte columns of each step's node, far end and depth, and
-an int column ``link``. An inner step's link is the next step at its depth or
+One cache is kept, per (n_rows, n_cols) shape: the index of the trees' leaf
+peels, and with it a table of each (node, other) step's cell. Each tree's
+peel, one (node, other) step per edge, is a key of one byte per step (the
+step's rank among the shape's 2 * n * m steps); the keys are sorted and
+stored as a trie flattened into one preorder stream, each step once per
+distinct prefix (126,796 steps at 4x5, against 32,000 trees of 8). The
+stream has byte columns of each step's node, far end and depth, and an int
+column ``link``. An inner step's link is the next step at its depth or
 above, the first step past its subtree: it is 0 until first needed, then
 filled by one search of the depth column. Filling is idempotent, so callers
 that race on a link write the same value. A leaf has no subtree: pass or
 fail, the walk goes on to the next step, so its link is free to hold its
-tree's position in tree order. A small per-shape table maps each step to
-its cell, for the keys below.
-A call walks the stream once, one residual list per depth. A step fails if
+tree's position in tree order. Clearing the cache frees all of it.
+A call takes the shape's index and its residuals [*p, *q] once, and walks
+the stream once, one residual list per depth. A step fails if
 its node's residual is below -1e-12, or if it leaves its far end's below
 -1e-6 (see ``_CUT``): the walk then jumps to its link, past every tree that
 shares the failed prefix; a passed step records its value and moves on to the
@@ -37,8 +38,9 @@ next. So a 4x5 call visits some 8,400 steps, not 32,000 trees of 8 steps, and
 each tree still subtracts in its own peel order, to the same floats. The
 walk hands each feasible leaf (about 3% of the trees at 4x5, 11% at 2x10 on
 random marginals) to its caller as it reaches it, and keeps nothing of it.
-A tree is keyed on its positive cells, 7 bytes per cell of its index and
-its value rounded to 1e-12; a key keeps its first tree in tree order.
+A tree is keyed on its positive cells, 7 bytes per cell of its index (from
+the table) and its value rounded to 1e-12; a key keeps its first tree in
+tree order.
 A caller keeps per tree at most its position, its last step and one float:
 it rebuilds a tree it needs later from its last step, the path from the
 depth column and the values by the same subtractions.
@@ -92,15 +94,21 @@ class OracleResult:
     argmin: VertexCoupling
 
 
+# (nodes, others, depths, link, cells): a shape's peel stream and cell table
+_Index = tuple[bytes, bytes, bytes, array, tuple[tuple[int, ...], ...]]
+
+
 @lru_cache(maxsize=None)
-def _peel_index(n: int, m: int) -> tuple[bytes, bytes, bytes, array]:
-    """(nodes, others, depths, link): the sorted peels of the spanning trees
-    of K_{n,m} as one preorder stream of trie steps. Step t peels node
+def _peel_index(n: int, m: int) -> _Index:
+    """(nodes, others, depths, link, cells): the sorted peels of the spanning
+    trees of K_{n,m} as one preorder stream of trie steps. Step t peels node
     nodes[t] into others[t] at depth depths[t]; link[t] is the tree's
     position for a leaf (the last depth), and for an inner step the next
     step at its depth or above once filled, 0 until then. Nodes are rows
     0..n-1 and columns n..n+m-1; step (node, other) peels a node whose last
-    edge is the cell (min(node, other), max(node, other) - n)."""
+    edge is the cell (r, c) = (min(node, other), max(node, other) - n), and
+    cells[node][other] is (r * m + c) << 40, above the cell's rounded value
+    in a key."""
     size = n + m - 1
     all_edges = [(r, c) for r in range(n) for c in range(m)]
     nodes = range(n + m)
@@ -192,7 +200,9 @@ def _peel_index(n: int, m: int) -> tuple[bytes, bytes, bytes, array]:
         link += unfilled[depth]
         link.append(key & 0xFFFFFF)
     node_of, other_of = (bytes(step[a] for step in steps).ljust(256, b"\0") for a in (0, 1))
-    return codes.translate(node_of), codes.translate(other_of), bytes(depths), link
+    cells = tuple(tuple((min(v, o) * m + max(v, o) - n) << 40 if (v < n) != (o < n) else 0
+                        for o in nodes) for v in nodes)
+    return codes.translate(node_of), codes.translate(other_of), bytes(depths), link, cells
 
 
 # _within(limit)(depths, t): the first step from the t-th on at depth limit or
@@ -211,14 +221,14 @@ _CUT = -1e3 * NORMALIZATION_TOL
 def _feasible(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
-) -> tuple[int, int, Iterable[tuple[int, list[int], list[float], list[float]]]]:
-    """(n, m, leaves): checks each marginal once, p before q, and the cell
-    cap, and returns the walk of the shape's stream as a generator of its
-    feasible leaves, in stream order. Each leaf is (position, path, values,
-    base): its tree's position in tree order; the stream position of each of
-    its steps, and their values, in lists the walk overwrites, so a caller
-    reads them before it asks for the next leaf; and the residuals
-    [*p, *q] the walk starts from, for :func:`_solved`.
+) -> tuple[int, int, _Index, list[float], Iterable[tuple[int, list[int], list[float]]]]:
+    """(n, m, index, base, leaves): checks each marginal once, p before q,
+    and the cell cap, and returns the shape's index, the residuals
+    base = [*p, *q] the walk starts from, and the walk of the index's stream
+    as a generator of its feasible leaves, in stream order. Each leaf is
+    (position, path, values): its tree's position in tree order, and the
+    stream position of each of its steps, and their values, in lists the
+    walk overwrites, so a caller reads them before it asks for the next leaf.
 
     One pass over the stream: a step that passes goes on to the next step,
     and an inner step that fails goes to its link, past its subtree,
@@ -230,14 +240,13 @@ def _feasible(
     n, m = len(pvec), len(qvec)
     if n * m > CELL_CAP:
         raise TooLargeError(f"{n} x {m} grid exceeds the {CELL_CAP}-cell enumeration cap")
-    return n, m, _walk(_peel_index(n, m), [*pvec, *qvec])
+    index, base = _peel_index(n, m), [*pvec, *qvec]
+    return n, m, index, base, _walk(index, base)
 
 
-def _walk(
-    index: tuple[bytes, bytes, bytes, array], base: list[float],
-) -> Iterator[tuple[int, list[int], list[float], list[float]]]:
+def _walk(index: _Index, base: list[float]) -> Iterator[tuple[int, list[int], list[float]]]:
     """The leaves of :func:`_feasible`, from the shape's index and [*p, *q]."""
-    nodes, others, depths, link = index
+    nodes, others, depths, link, _ = index
     last, count, floor = len(base) - 2, len(depths), -_ROUND
     # per depth, the residuals before the current path's step there, and the
     # path's steps and values above it
@@ -258,7 +267,7 @@ def _walk(
         path[depth] = t
         values[depth] = v
         if depth == last:
-            yield link[t], path, values, base
+            yield link[t], path, values
         else:
             # a peeled node has no edge left, so its residual is never read again
             residual = residual[:]
@@ -274,12 +283,12 @@ def _link(depths: bytes, link: array, t: int) -> int:
     return link[t]
 
 
-def _solved(n: int, m: int, base: list[float], leaf: int) -> tuple[list[int], list[float]]:
+def _solved(index: _Index, base: list[float], leaf: int) -> tuple[list[int], list[float]]:
     """(path, values) of the feasible tree whose last step is ``leaf``, as
     the walk had them there. A step's parent is the last step before it one
     depth up, and each value comes from the walk's subtractions, in its
     order, so to the same floats."""
-    nodes, others, depths, _ = _peel_index(n, m)
+    nodes, others, depths, _, _ = index
     path = [leaf] * (depths[leaf] + 1)
     for depth in range(len(path) - 2, -1, -1):
         leaf = path[depth] = depths.rindex(depth, 0, leaf)
@@ -292,43 +301,26 @@ def _solved(n: int, m: int, base: list[float], leaf: int) -> tuple[list[int], li
     return path, values
 
 
-@lru_cache(maxsize=None)
-def _cells(n: int, m: int) -> tuple[bytes, bytes, tuple[tuple[int, ...], ...]]:
-    """(nodes, others, codes): the shape's stream columns of each step's node
-    and far end, and per (node, other) step its cell r * m + c shifted left
-    by 40 bits, above the cell's rounded value in a key."""
-    nodes, others, _, _ = _peel_index(n, m)
-    return nodes, others, tuple(
-        tuple((min(v, o) * m + max(v, o) - n) << 40 if (v < n) != (o < n) else 0
-              for o in range(n + m)) for v in range(n + m))
-
-
-def _keyed(
-    cells: tuple[bytes, bytes, tuple[tuple[int, ...], ...]], path: list[int], values: list[float],
-) -> bytes:
+def _keyed(index: _Index, path: list[int], values: list[float]) -> bytes:
     """A solved tree's deduplication key: per positive cell in (r, c) order,
     7 big-endian bytes of (r * m + c) << 40 | round(v / 1e-12). A value is at
     most 1 + 2e-9, under 2**40 * 1e-12, so the keys sort as the tuples of
     their (r, c, round(v / 1e-12)) cells do."""
-    nodes, others, codes = cells
-    key = sorted([codes[nodes[t]][others[t]] | round(v / _ROUND)
+    nodes, others, _, _, cells = index
+    key = sorted([cells[nodes[t]][others[t]] | round(v / _ROUND)
                   for t, v in zip(path, values) if v > 0.0])
     return b"".join([code.to_bytes(7, "big") for code in key])
 
 
-def _vertex(n: int, m: int, path: list[int], values: list[float]) -> VertexCoupling:
-    nodes, others, _, _ = _peel_index(n, m)
-    grid = [[0.0] * m for _ in range(n)]
+def _vertex(n: int, m: int, index: _Index, path: list[int], values: list[float]) -> VertexCoupling:
+    nodes, others, _, _, cells = index
+    flat = [0.0] * (n * m)  # cell r * m + c
     for t, v in zip(path, values):
         if v > 0.0:
-            node, other = nodes[t], others[t]
-            if node < other:
-                grid[node][other - n] = v
-            else:
-                grid[other][node - n] = v
+            flat[cells[nodes[t]][others[t]] >> 40] = v
     return VertexCoupling(
-        tuple(tuple(row) for row in grid),
-        tuple((r, c) for r in range(n) for c in range(m) if grid[r][c] > 0.0),
+        tuple(tuple(flat[r * m:(r + 1) * m]) for r in range(n)),
+        tuple(divmod(i, m) for i, v in enumerate(flat) if v > 0.0),
     )
 
 
@@ -347,37 +339,33 @@ def enumerate_vertices(
     Raises:
         TooLargeError: n_rows * n_cols exceeds the cell cap of 20.
     """
-    n, m, leaves = _feasible(p, q)
-    cells = _cells(n, m)
+    n, m, index, base, leaves = _feasible(p, q)
     # per key, its first tree in tree order: position and last step
     found: dict[bytes, tuple[int, int]] = {}
-    base: list[float] = []
-    for position, path, values, base in leaves:
-        key = _keyed(cells, path, values)
+    for position, path, values in leaves:
+        key = _keyed(index, path, values)
         first = found.get(key)
         if first is None or position < first[0]:
             found[key] = position, path[-1]
-    return [_vertex(n, m, *_solved(n, m, base, found[key][1])) for key in sorted(found)]
+    return [_vertex(n, m, index, *_solved(index, base, found[key][1])) for key in sorted(found)]
 
 
 def _near_least(
-    leaves: Iterable[tuple[int, list[int], list[float], list[float]]],
-) -> tuple[float, list[tuple[int, float, int]], list[float]]:
-    """(least, kept, base): scores each leaf as the walk reaches it, with
-    the float shannon_entropy returns for its positive cells, and keeps
-    (position, entropy, last step) only for a leaf within _NEAR of the least
-    entropy so far; base is the residuals the leaves start from, empty if
-    there is no leaf."""
+    leaves: Iterable[tuple[int, list[int], list[float]]],
+) -> tuple[float, list[tuple[int, float, int]]]:
+    """(least, kept): scores each leaf as the walk reaches it, with the float
+    shannon_entropy returns for its positive cells, and keeps (position,
+    entropy, last step) only for a leaf within _NEAR of the least entropy
+    so far."""
     least = math.inf
     kept = []
-    base: list[float] = []
-    for position, path, values, base in leaves:
+    for position, path, values in leaves:
         h = -math.fsum([v * math.log2(v) for v in values if v > 0.0]) + 0.0
         if h <= least + _NEAR:
             kept.append((position, h, path[-1]))
             if h < least:
                 least = h
-    return least, kept, base
+    return least, kept
 
 
 # Brute force keys only the trees whose entropy is within _NEAR of the least
@@ -433,18 +421,16 @@ def brute_force_min_entropy(
         >>> res.opt_value, res.argmin.grid
         (1.5, ((0.5, 0.0), (0.0, 0.25), (0.0, 0.25)))
     """
-    n, m, leaves = _feasible(p, q)
-    least, kept, base = _near_least(leaves)
+    n, m, index, base, leaves = _feasible(p, q)
+    least, kept = _near_least(leaves)
     if not kept:
         raise InternalError("the coupling polytope has no scored vertex")
     near = least + _NEAR
-    cells = _cells(n, m)
     # per key, the entropy and last step of its first tree in tree order
     found: dict[bytes, tuple[float, int]] = {}
     for _, h, leaf in sorted(kept):
         if h <= near:
-            path, values = _solved(n, m, base, leaf)
-            found.setdefault(_keyed(cells, path, values), (h, leaf))
+            found.setdefault(_keyed(index, *_solved(index, base, leaf)), (h, leaf))
     best_value = math.inf
     best_leaf = 0
     for key in sorted(found):
@@ -452,4 +438,4 @@ def brute_force_min_entropy(
         if h < best_value - 1e-15:
             best_value = h
             best_leaf = leaf
-    return OracleResult(best_value, _vertex(n, m, *_solved(n, m, base, best_leaf)))
+    return OracleResult(best_value, _vertex(n, m, index, *_solved(index, base, best_leaf)))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import mec
 
@@ -85,6 +87,49 @@ def copied_cells(cells: tuple) -> tuple:
     ``_finish`` empties the lists it is handed, so a test that reads the
     cells again hands it the copy."""
     return (*map(list, cells[:3]), *cells[3:])
+
+
+def exact_unit(masses) -> list[Fraction]:
+    """Float masses as exact fractions, scaled to total exactly 1."""
+    exact = list(map(Fraction, masses))
+    total = sum(exact)
+    return [x / total for x in exact]
+
+
+def exact_glb(p, q) -> list[Fraction]:
+    """The glb of the float marginals p and q in exact arithmetic, each
+    scaled by ``exact_unit``: the first differences of the componentwise
+    minima of their sorted prefix sums."""
+    n = max(len(p), len(q))
+    a, b = (sorted(exact_unit(d), reverse=True) + [Fraction(0)] * (n - len(d)) for d in (p, q))
+    z, low, pa, pb = [], 0, 0, 0
+    for x, y in zip(a, b):
+        pa, pb = pa + x, pb + y
+        top = min(pa, pb)
+        z.append(top - low)
+        low = top
+    return z
+
+
+def exact_vertex_values(support, p, q) -> list[Fraction] | None:
+    """The cell values a vertex's support of (r, c) cells forces on the
+    float marginals p and q, each scaled by ``exact_unit``, in exact
+    arithmetic: the support is a forest, so its cells are solved by peeling
+    a leaf's cell at a time. None unless the values are non-negative and
+    meet every marginal exactly."""
+    n = len(p)
+    residual = exact_unit(p) + exact_unit(q)
+    ends = [(r, n + c) for r, c in support]
+    values = []
+    while ends:
+        degree = Counter(node for end in ends for node in end)
+        k = next(k for k, (a, b) in enumerate(ends) if 1 in (degree[a], degree[b]))
+        a, b = ends.pop(k)
+        leaf, other = (a, b) if degree[a] == 1 else (b, a)
+        values.append(residual[leaf])
+        residual[other] -= residual[leaf]
+        residual[leaf] = Fraction(0)
+    return None if any(residual) or any(v < 0 for v in values) else values
 
 
 def random_distribution(rng: random.Random, max_n: int = 8) -> mec.Distribution:

@@ -320,6 +320,24 @@ class TestGlbOnInvalidRawInput:
         for f, args in ((mec.half, (bad,)), (mec.half_iter, (bad, 0)), (mec.half_iter, (bad, 2))):
             assert raised(f, *args) == want, (f.__name__, args)
 
+    def test_a_hand_built_roundoff_mass_is_clamped_as_a_raw_one(self):
+        # a mass in [-1e-12, 0) is roundoff, clamped to 0 as make_distribution
+        # clamps it, so a built marginal gives the bits its raw masses give
+        masses = (1.0 + 1e-13, -1e-13)
+        built, raw = mec.Distribution(masses, (0, 1)), list(masses)
+        other = [0.4, 0.3, 0.3]
+        pairwise = (mec.min_entropy_coupling_sparse, mec.min_entropy_coupling_dense,
+                    mec.metric_estimate, mec.bounds_report, mec.glb,
+                    mec.brute_force_min_entropy, mec.enumerate_vertices)
+        for f in pairwise:
+            assert repr(f(built, other)) == repr(f(raw, other)), f.__name__
+            assert repr(f(other, built)) == repr(f(other, raw)), f.__name__
+        for ds in ([built, other], [other, built, other]):
+            raw_ds = [raw if d is built else d for d in ds]
+            assert repr(mec.min_entropy_joint_k(ds)) == repr(mec.min_entropy_joint_k(raw_ds))
+        assert repr(mec.half(built)) == repr(mec.half(raw))
+        assert min(mec.half(built).masses) == 0.0
+
     @staticmethod
     def counted(monkeypatch) -> tuple[list, list]:
         """Lists that collect, from here on, the masses of each pass of the
