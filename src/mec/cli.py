@@ -34,6 +34,7 @@ from .coupling import (
     _finish,
     _walk,
     is_valid_coupling,
+    min_entropy_coupling_sparse,
 )
 from .distributions import (
     NORMALIZATION_TOL,
@@ -359,7 +360,7 @@ def _execute(ns: argparse.Namespace) -> dict:
             opt = brute_force_min_entropy(dp, dq)
         except InputError as exc:
             raise InputError(f"p, q: {exc}") from exc
-        m = _finish(*_walk(dp, dq)[0])
+        m = min_entropy_coupling_sparse(dp, dq)
         ok, why = is_valid_coupling(m, dp, dq, tol=ns.tol)
         if not ok:
             raise InternalError(f"engine produced an invalid coupling: {why}")

@@ -6,22 +6,23 @@ admits a greedy rearrangement into a valid coupling that splits each z
 component at most once. The resulting entropy is at most H(z) + 1, hence at
 most OPT + 1, and the support has at most 2n cells.
 
-Two engines produce the same coupling, bit for bit. The dense engine walks
-an explicit n x n matrix from the last index to the first; it is quadratic,
-capped at ``DENSE_CAP`` components per side, and serves as the reference the
-sparse engine is audited against. The sparse engine keeps only the moved
-masses, in two min-priority queues keyed by mass, and runs in O(n log n)
-overall. Both resolve every row/column overflow through the one greedy split,
-:meth:`MassPool.split`; at each index at most one side overflows, and the
-sparse walk runs one loop body over the column side, then the row side. Each
-engine checks each marginal once, as raw masses are checked (a hand-built
-``Distribution`` too), and never checks their glb. Callers that hold checked
-marginals call the sparse engine's walk, ``_walk``, which checks no marginal,
-pads them itself, runs the debug checks when asked, and also returns the glb
-it walked, so that glb is computed once.
+One walk builds the coupling. It keeps only the moved masses, in two
+min-priority queues keyed by mass, walks the indices from last to first and
+runs in O(n log n) overall. It resolves every row/column overflow through
+the one greedy split, :meth:`MassPool.split`; at each index at most one side
+overflows, and one loop body serves the column side, then the row side.
+``min_entropy_coupling_sparse`` runs it; ``min_entropy_coupling_dense`` runs
+it too, under the name of a quadratic engine over an explicit matrix, with
+that engine's ``DENSE_CAP`` refusal. The tests keep the matrix walk as the
+reference this walk is audited against. Each engine checks each marginal
+once, as raw masses are checked (a hand-built ``Distribution`` too), and
+never checks their glb. Callers that hold checked marginals call the walk,
+``_walk``, which checks no marginal, pads them itself, runs the debug checks
+when asked, and also returns the glb it walked, so that glb is computed
+once.
 
-Both engines record the cells as three flat columns (value, row, column) in
-sorted working positions. The walk returns these raw cells, unordered and
+The walk records the cells as three flat columns (value, row, column) in
+sorted working positions. It returns these raw cells, unordered and
 unchecked, with the padded marginals and their lengths. One output step,
 ``_finish``, turns them into a :class:`SparseCoupling` in the caller's
 original index order for each marginal: it maps the index columns through the
@@ -30,11 +31,10 @@ engine cells of both sparse types in coordinate order, by one stable sort
 per axis (``_cell_order``), and checks them through ``_CellStore._fill``.
 Both consume the lists they read, emptying each once read, so that no
 column is held in both working and caller coordinates, or in both orders.
-The sparse engine, the dense engine and the CLI's ``couple`` and
-``oracle-check`` run it. A caller that needs no cell order, as the k-way
-merges and ``metric_estimate`` do, reads the raw cells through
-``_raw_cells`` instead, which runs the same checks' C-level passes and
-leaves any failure to ``_finish``, so that it raises the same
+Both engine names and the CLI's ``couple`` run it. A caller that needs no
+cell order, as the k-way merges and ``metric_estimate`` do, reads the raw
+cells through ``_raw_cells`` instead, which runs the same checks' C-level
+passes and leaves any failure to ``_finish``, so that it raises the same
 ``ValueError``.
 """
 
@@ -412,92 +412,33 @@ def _finish(
     return SparseCoupling._build((n_rows, n_cols), (rows, cols), vals)
 
 
-def _both_overflow(i: int) -> InternalError:
-    return InternalError(f"both marginals overflow at index {i}; state is corrupted")
-
-
 def min_entropy_coupling_dense(
     p: Distribution | Sequence[float],
     q: Distribution | Sequence[float],
     debug: bool = False,
 ) -> SparseCoupling:
-    """Quadratic coupling engine over an explicit matrix.
+    """The coupling of :func:`min_entropy_coupling_sparse`, bit for bit,
+    refused past ``DENSE_CAP`` components per side.
 
-    Starts from diag(glb(p, q)) and walks indices from last to first; an
-    overflowing column (resp. row) is resolved by :meth:`MassPool.split` of
-    the diagonal mass against the other positive cells of that column (resp.
-    row), relocating the remainder and the cells left out one index down.
-    Each glb component is split at most once, so the output keeps at most 2n
-    positive cells and entropy at most H(glb) + 1. The output is bit-identical
-    to :func:`min_entropy_coupling_sparse`, which this engine audits.
+    The name and the cap are those of a quadratic engine over an explicit
+    matrix, which the tests keep as the walk's audit. ``debug`` runs the
+    walk's checks.
 
-    With ``debug`` on, verifies that the output values regroup exactly into
-    the recorded splits of the glb components.
+    >>> p, q = [0.5, 0.3, 0.2], [0.6, 0.4]
+    >>> min_entropy_coupling_dense(p, q) == min_entropy_coupling_sparse(p, q)
+    True
 
     Raises:
         TooLargeError: either marginal has more than ``DENSE_CAP`` components.
     """
-    dp, dq, n_rows, n_cols = _pad(_checked(p), _checked(q))
-    n = dp.n
+    dp, dq = _checked(p), _checked(q)
+    n = max(dp.n, dq.n)
     if n > DENSE_CAP:
         raise TooLargeError(
             f"{n} components exceed the dense engine's cap of {DENSE_CAP}; use the sparse engine"
         )
-    pm, qm = dp.masses, dq.masses
-    z = _glb(pm, qm).masses
-    grid = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = z[i]
-    splits: dict[int, tuple[float, float]] = {}
-
-    for i in range(n - 1, -1, -1):
-        col_sum = math.fsum(grid[k][i] for k in range(n))
-        row_sum = math.fsum(grid[i][k] for k in range(n))
-        col_over = col_sum > qm[i] + INTERNAL_TOL
-        row_over = row_sum > pm[i] + INTERNAL_TOL
-        if col_over and row_over:
-            raise _both_overflow(i)
-        if not (col_over or row_over):
-            continue
-        if i == 0:
-            raise InternalError("first index cannot overflow; state is corrupted")
-        # cell k of the overflowing line, and the cell one index down it moves to
-        if col_over:
-            line = [(k, i) for k in range(n)]
-            below = [(k, i - 1) for k in range(n)]
-        else:
-            line = [(i, k) for k in range(n)]
-            below = [(i - 1, k) for k in range(n)]
-        # candidates: the line's other positive cells, keyed (mass, fixed
-        # coordinate) exactly as the sparse engine queues them
-        pool = MassPool()
-        for k, (r, c) in enumerate(line):
-            if k != i and grid[r][c] > 0.0:
-                pool.push(grid[r][c], k)
-        z_d, _ = pool.split(z[i], qm[i] if col_over else pm[i])
-        grid[i][i] = z_d
-        for mass, k in pool.drain():
-            r, c = line[k]
-            grid[r][c] = 0.0
-            r, c = below[k]
-            grid[r][c] = mass
-        r, c = below[i]
-        grid[r][c] = z[i] - z_d
-        if debug:
-            splits[i] = (z_d, z[i] - z_d)
-
-    vals: list[float] = []
-    wr: list[int] = []
-    wc: list[int] = []
-    for r, line in enumerate(grid):
-        for c, value in enumerate(line):
-            if value > 0.0:
-                vals.append(value)
-                wr.append(r)
-                wc.append(c)
-    if debug:
-        _verify_split_conservation(vals, wr, wc, z, splits)
-    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols)
+    # _walk, not the sparse engine's name, so that a traced call is one span
+    return _finish(*_walk(dp, dq, debug)[0])
 
 
 def min_entropy_coupling_sparse(
@@ -512,8 +453,8 @@ def min_entropy_coupling_sparse(
     mass with its fixed coordinate attached. At index i the queue total plus
     z_i either equals the marginal (the queue drains into this index) or
     overflows it (a greedy min-first split retains exactly the missing
-    amount and requeues the remainder). Same output as the dense engine, bit
-    for bit.
+    amount and requeues the remainder). The tests audit it, bit for bit,
+    against a quadratic walk over an explicit matrix.
     """
     # the walk's glb is dropped before the output step
     return _finish(*_walk(_checked(p), _checked(q), debug)[0])
@@ -556,7 +497,8 @@ def _walk(dp: Distribution, dq: Distribution,
             total = pool._sum + pool._err
             if total + zi > line[i] + INTERNAL_TOL:
                 if over:
-                    raise _both_overflow(i)
+                    raise InternalError(
+                        f"both marginals overflow at index {i}; state is corrupted")
                 over = True
                 z_d, taken = pool.split(zi, line[i])
                 rest = zi - z_d

@@ -50,7 +50,8 @@ class SizeCapError(InputError):
 
 
 class TooLargeError(InputError):
-    """A request exceeds a size cap: the oracle's cell cap or the dense engine's."""
+    """A request exceeds a size cap: the oracle's cell cap, or
+    ``min_entropy_coupling_dense``'s ``DENSE_CAP`` components per side."""
 
 
 class InternalError(MecError):

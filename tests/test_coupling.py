@@ -1,4 +1,5 @@
-"""The greedy mass split, the two coupling engines, and the validity checker."""
+"""The greedy mass split, the coupling engines and their matrix-walk audit, and
+the validity checker."""
 
 from __future__ import annotations
 
@@ -30,9 +31,11 @@ from mec.coupling import (
     _first_bad_cell,
     _pad,
     _raw_cells,
+    _verify_split_conservation,
     _walk,
 )
 from mec.distributions import _checked
+from mec.majorization import _glb
 from conftest import (
     H_WORKED_GLB,
     WORKED_P,
@@ -299,7 +302,7 @@ class TestEngines:
 
 class TestEngineAgreement:
     def test_worked_pair_identical_output(self):
-        dense = mec.min_entropy_coupling_dense(WORKED_P, WORKED_Q)
+        dense = reference_min_entropy_coupling_dense(WORKED_P, WORKED_Q)
         sparse = mec.min_entropy_coupling_sparse(WORKED_P, WORKED_Q)
         assert dense.entries == sparse.entries
 
@@ -314,7 +317,7 @@ class TestEngineAgreement:
         for _ in range(60):
             p = random_masses(rng, rng.randint(1, 6))
             q = random_masses(rng, rng.randint(1, 6))
-            dense = mec.min_entropy_coupling_dense(p, q)
+            dense = reference_min_entropy_coupling_dense(p, q)
             sparse = mec.min_entropy_coupling_sparse(p, q)
             assert dense.entries == sparse.entries
 
@@ -323,7 +326,19 @@ class TestEngineAgreement:
         for _ in range(2000):
             p = random_masses(rng, rng.randint(1, 9))
             q = random_masses(rng, rng.randint(1, 9))
-            dense = mec.min_entropy_coupling_dense(p, q, debug=True)
+            dense = reference_min_entropy_coupling_dense(p, q, debug=True)
+            sparse = mec.min_entropy_coupling_sparse(p, q, debug=True)
+            assert dense.entries == sparse.entries
+
+    def test_dyadic_sweep_matches_bit_for_bit_under_debug(self):
+        # multiples of 1/64 add up exactly, so a split often meets a record
+        # that tops its target up to the bit: the strict < of the split's
+        # loop is pinned here, and random masses almost never reach it
+        rng = random.Random(2064)
+        for _ in range(1000):
+            p = grid64_masses(rng, rng.randint(1, 9))
+            q = grid64_masses(rng, rng.randint(1, 9))
+            dense = reference_min_entropy_coupling_dense(p, q, debug=True)
             sparse = mec.min_entropy_coupling_sparse(p, q, debug=True)
             assert dense.entries == sparse.entries
 
@@ -341,16 +356,40 @@ class TestEngineAgreement:
         n = data.draw(st.integers(1, 7))
         m = data.draw(st.integers(1, 7).filter(lambda k: k != n))
         p, q = marginal(n), marginal(m)
-        dense = mec.min_entropy_coupling_dense(p, q, debug=True)
+        dense = reference_min_entropy_coupling_dense(p, q, debug=True)
         sparse = mec.min_entropy_coupling_sparse(p, q, debug=True)
         assert dense.entries == sparse.entries
 
 
 class TestDenseCap:
+    """``min_entropy_coupling_dense`` is the sparse engine's walk behind the
+    ``DENSE_CAP`` refusal."""
+
     def test_rejects_a_side_over_the_cap(self):
         n = DENSE_CAP + 1
         with pytest.raises(mec.TooLargeError, match="dense engine"):
             mec.min_entropy_coupling_dense([1.0], [1.0 / n] * n)
+
+    def test_a_side_at_the_cap_gets_the_sparse_cells_bit_for_bit(self):
+        rng = random.Random(2048)
+        wide = random_masses(rng, DENSE_CAP)
+        for p, q in (([1.0], [1.0 / DENSE_CAP] * DENSE_CAP), (wide, random_masses(rng, 5)),
+                     (random_masses(rng, 7), wide)):
+            dense = mec.min_entropy_coupling_dense(p, q)
+            sparse = mec.min_entropy_coupling_sparse(p, q)
+            assert max(dense.n_rows, dense.n_cols) == DENSE_CAP
+            assert (dense.n_rows, dense.n_cols, dense.rows, dense.cols) == (
+                sparse.n_rows, sparse.n_cols, sparse.rows, sparse.cols)
+            assert [v.hex() for v in dense.values()] == [v.hex() for v in sparse.values()]
+
+    def test_debug_runs_the_walk_checks(self, monkeypatch):
+        def broken(*args):
+            raise mec.InternalError("split conservation broken")
+
+        monkeypatch.setattr(coupling, "_verify_split_conservation", broken)
+        mec.min_entropy_coupling_dense(TRICKY_P, TRICKY_Q)
+        with pytest.raises(mec.InternalError, match="split conservation broken"):
+            mec.min_entropy_coupling_dense(TRICKY_P, TRICKY_Q, debug=True)
 
 
 class TestSparseCouplingType:
@@ -1200,6 +1239,77 @@ class ReferencePool:
         return out
 
 
+def reference_min_entropy_coupling_dense(p, q, debug: bool = False) -> mec.SparseCoupling:
+    """The quadratic engine over an explicit matrix, once the package's
+    ``min_entropy_coupling_dense``, on the tests' own ``ReferencePool``: the
+    sparse engine's audit, which shares no queue code with it.
+
+    Starts from diag(glb(p, q)) and walks indices from last to first; an
+    overflowing column (resp. row) is resolved by a split of the diagonal
+    mass against the other positive cells of that column (resp. row),
+    relocating the remainder and the cells left out one index down. With
+    ``debug`` on, verifies that the output values regroup exactly into the
+    recorded splits of the glb components.
+    """
+    dp, dq, n_rows, n_cols = _pad(_checked(p), _checked(q))
+    n = dp.n
+    pm, qm = dp.masses, dq.masses
+    z = _glb(pm, qm).masses
+    grid = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        grid[i][i] = z[i]
+    splits: dict[int, tuple[float, float]] = {}
+
+    for i in range(n - 1, -1, -1):
+        col_sum = math.fsum(grid[k][i] for k in range(n))
+        row_sum = math.fsum(grid[i][k] for k in range(n))
+        col_over = col_sum > qm[i] + mec.INTERNAL_TOL
+        row_over = row_sum > pm[i] + mec.INTERNAL_TOL
+        if col_over and row_over:
+            raise mec.InternalError(f"both marginals overflow at index {i}; state is corrupted")
+        if not (col_over or row_over):
+            continue
+        if i == 0:
+            raise mec.InternalError("first index cannot overflow; state is corrupted")
+        # cell k of the overflowing line, and the cell one index down it moves to
+        if col_over:
+            line = [(k, i) for k in range(n)]
+            below = [(k, i - 1) for k in range(n)]
+        else:
+            line = [(i, k) for k in range(n)]
+            below = [(i - 1, k) for k in range(n)]
+        # candidates: the line's other positive cells, keyed (mass, fixed
+        # coordinate) exactly as the sparse engine queues them
+        pool = ReferencePool()
+        for k, (r, c) in enumerate(line):
+            if k != i and grid[r][c] > 0.0:
+                pool.push(grid[r][c], k)
+        z_d, _ = pool.split(z[i], qm[i] if col_over else pm[i])
+        grid[i][i] = z_d
+        for mass, k in pool.drain():
+            r, c = line[k]
+            grid[r][c] = 0.0
+            r, c = below[k]
+            grid[r][c] = mass
+        r, c = below[i]
+        grid[r][c] = z[i] - z_d
+        if debug:
+            splits[i] = (z_d, z[i] - z_d)
+
+    vals: list[float] = []
+    wr: list[int] = []
+    wc: list[int] = []
+    for r, line in enumerate(grid):
+        for c, value in enumerate(line):
+            if value > 0.0:
+                vals.append(value)
+                wr.append(r)
+                wc.append(c)
+    if debug:
+        _verify_split_conservation(vals, wr, wc, z, splits)
+    return _finish(vals, wr, wc, dp, dq, n_rows, n_cols)
+
+
 def reference_prepare(p, q):
     """``_prepare`` as it stood with the role swap: the first marginal of the
     walk is the one that dominates at the last index where the sorted
@@ -1528,7 +1638,7 @@ class TestMarginalsScaledWithinTheTolerance:
             q = self.scaled(rng, m, 1.0 - 9e-10)
             sparse = mec.min_entropy_coupling_sparse(p, q)
             assert mec.is_valid_coupling(sparse, p, q) == (True, "ok"), seed
-            assert engine_outcome(mec.min_entropy_coupling_dense, p, q) == engine_outcome(
+            assert engine_outcome(reference_min_entropy_coupling_dense, p, q) == engine_outcome(
                 mec.min_entropy_coupling_sparse, p, q), seed
 
     @pytest.mark.parametrize(
